@@ -23,7 +23,9 @@
 // trace-generator keys of bench_common.hpp. With --baseline=FILE (a
 // previous BENCH_playback.json) the run acts as a regression gate: if
 // the optimized arm's intervals_per_second drops more than 10% below the
-// baseline's, the bench exits 3.
+// baseline's, the bench exits 3. The gate compares like with like only:
+// an unreadable baseline, or one whose days, mc_samples, threads, flows
+// or schemes differ from this run's, exits 2 before any work.
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
@@ -31,6 +33,7 @@
 #include <iomanip>
 #include <iostream>
 #include <new>
+#include <optional>
 #include <sstream>
 #include <thread>
 
@@ -179,41 +182,71 @@ void appendStagesJson(std::ostringstream& json, const char* name,
        << "\n  }";
 }
 
-/// Reads `optimized.intervals_per_second` out of a previous bench JSON.
-/// Hand-rolled scan (the repo has no JSON parser dependency): finds the
-/// "optimized" object, then the key within it. Returns 0 on any miss.
-double baselineIntervalsPerSecond(const std::string& path) {
+/// The number following `"key":` in `text` at or after `from`; nullopt
+/// when the key is absent. Hand-rolled scan (the repo has no JSON parser
+/// dependency).
+std::optional<double> jsonNumber(const std::string& text,
+                                 const std::string& key,
+                                 std::size_t from = 0) {
+  const std::string needle = "\"" + key + "\":";
+  const std::size_t at = text.find(needle, from);
+  if (at == std::string::npos) return std::nullopt;
+  const char* begin = text.c_str() + at + needle.size();
+  char* end = nullptr;
+  const double value = std::strtod(begin, &end);
+  if (end == begin) return std::nullopt;
+  return value;
+}
+
+/// Reads a previous bench JSON for the regression gate: the optimized
+/// arm's intervals_per_second, after checking that the baseline ran the
+/// same configuration as this run (`config`: top-level key -> value). A
+/// gate over a different configuration compares unlike with like, so any
+/// unreadable file, missing key or mismatch is an error (message in
+/// `error`).
+double readBaseline(const std::string& path,
+                    const std::vector<std::pair<std::string, double>>& config,
+                    std::string& error) {
   std::ifstream in(path);
-  if (!in) return 0.0;
+  if (!in) {
+    error = "cannot read baseline " + path;
+    return 0.0;
+  }
   std::ostringstream buffer;
   buffer << in.rdbuf();
   const std::string text = buffer.str();
-  const std::size_t obj = text.find("\"optimized\"");
-  if (obj == std::string::npos) return 0.0;
-  const std::size_t key = text.find("\"intervals_per_second\":", obj);
-  if (key == std::string::npos) return 0.0;
-  return std::strtod(text.c_str() + key + 23, nullptr);
+  for (const auto& [key, value] : config) {
+    const std::optional<double> recorded = jsonNumber(text, key);
+    if (!recorded) {
+      error = "baseline " + path + " has no \"" + key + "\"";
+      return 0.0;
+    }
+    if (*recorded != value) {
+      std::ostringstream message;
+      message << "baseline " << path << " ran with " << key << "="
+              << *recorded << ", this run has " << key << "=" << value
+              << "; rerun with matching settings";
+      error = message.str();
+      return 0.0;
+    }
+  }
+  const std::size_t optimized = text.find("\"optimized\"");
+  const std::optional<double> ips =
+      optimized == std::string::npos
+          ? std::nullopt
+          : jsonNumber(text, "intervals_per_second", optimized);
+  if (!ips || *ips <= 0.0) {
+    error = "baseline " + path + " has no optimized intervals_per_second";
+    return 0.0;
+  }
+  return *ips;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   const auto args = bench::parseArgs(argc, argv);
-  // Read the baseline before any output: --baseline and --out may name
-  // the same file (CI gates against the committed results in place).
-  const double baselineIps =
-      args.has("baseline")
-          ? baselineIntervalsPerSecond(args.getString("baseline", ""))
-          : 0.0;
   const auto topology = trace::Topology::ltn12();
-
-  auto generator = bench::makeGeneratorParams(args);
-  generator.duration = util::hours(
-      static_cast<std::int64_t>(args.getDouble("days", 7.0) * 24.0));
-  const auto synthetic =
-      generateSyntheticTrace(topology.graph(), generator);
-  const trace::Trace& trace = synthetic.trace;
-
   const auto flows = playback::transcontinentalFlows(topology);
   const auto schemes = routing::allSchemeKinds();
   const unsigned threads =
@@ -223,6 +256,32 @@ int main(int argc, char** argv) {
   playback::PlaybackParams base;
   base.mcSamples = static_cast<int>(args.getInt("mc_samples", 1000));
   base.collectStageTimings = true;  // all arms pay the same clock reads
+
+  // Read the baseline before any output: --baseline and --out may name
+  // the same file (CI gates against the committed results in place).
+  double baselineIps = 0.0;
+  if (args.has("baseline")) {
+    std::string error;
+    baselineIps = readBaseline(
+        args.getString("baseline", ""),
+        {{"days", args.getDouble("days", 7.0)},
+         {"mc_samples", static_cast<double>(base.mcSamples)},
+         {"threads", static_cast<double>(threads)},
+         {"flows", static_cast<double>(flows.size())},
+         {"schemes", static_cast<double>(schemes.size())}},
+        error);
+    if (!error.empty()) {
+      std::cerr << "bench_playback_throughput: " << error << '\n';
+      return 2;
+    }
+  }
+
+  auto generator = bench::makeGeneratorParams(args);
+  generator.duration = util::hours(
+      static_cast<std::int64_t>(args.getDouble("days", 7.0) * 24.0));
+  const auto synthetic =
+      generateSyntheticTrace(topology.graph(), generator);
+  const trace::Trace& trace = synthetic.trace;
 
   std::cout << "=== playback throughput: " << flows.size() << " flows x "
             << schemes.size() << " schemes over "
@@ -398,8 +457,7 @@ int main(int argc, char** argv) {
   // Regression gate: compare against a previous run's optimized arm.
   if (args.has("baseline")) {
     const double previous = baselineIps;
-    if (previous > 0.0 &&
-        optimized.intervalsPerSecond < previous * 0.9) {
+    if (optimized.intervalsPerSecond < previous * 0.9) {
       std::cerr << "FAIL: optimized throughput "
                 << optimized.intervalsPerSecond << " intervals/s is >10% below baseline "
                 << previous << " intervals/s\n";

@@ -32,24 +32,29 @@ void LiveNode::originate(const LiveFlow& flow, net::SequenceNumber sequence,
 }
 
 void LiveNode::handleMessage(const Message& message, util::SimTime now) {
-  switch (message.type) {
-    case MessageType::Data:
-    case MessageType::Retransmission:
-      handleData(message, now);
-      return;
-    case MessageType::Nack:
-      handleNack(message, now);
-      return;
-    default:
-      return;  // membership/control messages are the daemon's business
+  if (message.type != MessageType::Data &&
+      message.type != MessageType::Retransmission &&
+      message.type != MessageType::Nack)
+    return;  // membership/control messages are the daemon's business
+  // The wire admits any 16-bit edge id: a message on an edge the overlay
+  // lacks, or on one that does not end here, cannot have reached this
+  // node legitimately and must not reach an edge lookup.
+  if (message.edge >= overlay_->edgeCount() ||
+      overlay_->edge(message.edge).to != id_) {
+    ++misroutedDropped_;
+    return;
+  }
+  if (message.type == MessageType::Nack) {
+    handleNack(message, now);
+  } else {
+    handleData(message, now);
   }
 }
 
 void LiveNode::handleData(const Message& message, util::SimTime now) {
   // Per-hop recovery bookkeeping runs for every copy, even duplicates:
   // link sequencing is a property of the link, not of the flood.
-  if (message.type == MessageType::Data && config_.recoveryEnabled &&
-      message.edge != graph::kInvalidEdge) {
+  if (message.type == MessageType::Data && config_.recoveryEnabled) {
     noteSequenceForRecovery(message, now);
   }
 
@@ -136,7 +141,6 @@ void LiveNode::noteSequenceForRecovery(const Message& message,
 
 void LiveNode::handleNack(const Message& message, util::SimTime /*now*/) {
   // The NACK arrived on the reverse of the data edge we sent on.
-  if (message.edge == graph::kInvalidEdge) return;
   const auto dataEdge = overlay_->reverseEdge(message.edge);
   if (!dataEdge) return;
   const auto it = sendBuffers_.find(key(*dataEdge, message.flow));

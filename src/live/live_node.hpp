@@ -66,7 +66,9 @@ class LiveNode {
                  util::SimTime now);
 
   /// Entry point for received edge messages (Data / Retransmission /
-  /// Nack); other message types are ignored. `now` is soak time.
+  /// Nack); other message types are ignored, and edge messages whose
+  /// edge is not an overlay edge ending at this node are dropped
+  /// (misroutedDropped()). `now` is soak time.
   void handleMessage(const Message& message, util::SimTime now);
 
   /// Per-flow delivery stats observed at this node (sent at the source,
@@ -77,6 +79,9 @@ class LiveNode {
   }
 
   std::uint64_t duplicatesDropped() const { return duplicatesDropped_; }
+  /// Edge messages dropped for an out-of-range edge id or an edge that
+  /// does not end at this node.
+  std::uint64_t misroutedDropped() const { return misroutedDropped_; }
   std::uint64_t expiredDropped() const { return expiredDropped_; }
   std::uint64_t nacksSent() const { return nacksSent_; }
   std::uint64_t retransmissionsSent() const { return retransmissionsSent_; }
@@ -114,6 +119,7 @@ class LiveNode {
   std::map<net::FlowId, FlowStatsEntry> flowStats_;
 
   std::uint64_t duplicatesDropped_ = 0;
+  std::uint64_t misroutedDropped_ = 0;
   std::uint64_t expiredDropped_ = 0;
   std::uint64_t nacksSent_ = 0;
   std::uint64_t retransmissionsSent_ = 0;

@@ -1,7 +1,7 @@
 // Group experiment runner: the groups x group-schemes sweep over one
-// trace, mirroring the unicast experiment runner's determinism contract
-// (byte-identical telemetry exports and bit-identical results at any
-// thread count).
+// trace, on the same sweep scheduler (playback/sweep.hpp) as the unicast
+// runners and with the same determinism contract (byte-identical
+// telemetry exports and bit-identical results at any thread count).
 #pragma once
 
 #include <string>
@@ -10,16 +10,14 @@
 #include "mcast/group.hpp"
 #include "mcast/playback.hpp"
 #include "mcast/scheme.hpp"
+#include "playback/sweep.hpp"
 #include "routing/scheme.hpp"
 
 namespace dg::mcast {
 
 /// Half-open interval range a group is active over; lastInterval values
 /// beyond the trace end are clamped to it.
-struct GroupWindow {
-  std::size_t firstInterval = 0;
-  std::size_t lastInterval = static_cast<std::size_t>(-1);
-};
+using GroupWindow = playback::FlowWindow;
 
 struct GroupExperimentConfig {
   std::vector<Group> groups;

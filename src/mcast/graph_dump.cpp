@@ -5,8 +5,7 @@
 #include <string_view>
 
 #include "graph/dissemination_graph.hpp"
-#include "routing/network_view.hpp"
-#include "trace/condition_timeline.hpp"
+#include "playback/playback.hpp"
 
 namespace dg::mcast {
 
@@ -22,28 +21,16 @@ std::string jsonEscape(std::string_view text) {
   return out;
 }
 
-/// Replays decisions over [0, interval] exactly as the playback engines'
-/// warm-up loop does (minus the steady-span jump, which only skips
-/// fixed-point selects), returning the selection in force at `interval`.
+/// The selection `scheme` has in force at request.interval, replayed by
+/// the playback engines' own decision core.
 template <typename Scheme>
 const graph::DisseminationGraph& replaySelect(
-    Scheme& scheme, const trace::Trace& trace,
-    const routing::NetworkView& baselineView,
-    const trace::ConditionIndex& index, trace::ConditionTimeline& cursor,
-    std::size_t interval, std::size_t staleness) {
-  const graph::DisseminationGraph* dg = nullptr;
-  for (std::size_t t = 0; t <= interval; ++t) {
-    if (t < staleness || !trace.hasDeviation(t - staleness)) {
-      dg = &scheme.select(baselineView);
-    } else {
-      const std::size_t viewInterval = t - staleness;
-      cursor.seek(viewInterval);
-      const routing::NetworkView view = routing::NetworkView::borrowing(
-          cursor, index.contentId(viewInterval));
-      dg = &scheme.select(view);
-    }
-  }
-  return *dg;
+    Scheme& scheme, const graph::Graph& overlay, const trace::Trace& trace,
+    const GraphDumpRequest& request) {
+  playback::PlaybackParams params;
+  params.viewStaleness = request.viewStaleness;
+  const playback::ReplayCore core(overlay, trace, params, "graph dump");
+  return core.selectionAt(scheme, request.interval);
 }
 
 std::string renderDot(const graph::DisseminationGraph& dg,
@@ -124,14 +111,8 @@ std::string dumpUnicastGraph(const graph::Graph& overlay,
                              const GraphDumpRequest& request) {
   validateRequest(trace, request);
   auto scheme = routing::makeScheme(kind, overlay, flow, schemeParams);
-  const routing::NetworkView baselineView =
-      routing::NetworkView::baseline(trace);
-  scheme->initialize(baselineView);
-  const trace::ConditionIndex index(trace);
-  trace::ConditionTimeline cursor(trace);
-  const graph::DisseminationGraph& dg = replaySelect(
-      *scheme, trace, baselineView, index, cursor, request.interval,
-      static_cast<std::size_t>(request.viewStaleness));
+  const graph::DisseminationGraph& dg =
+      replaySelect(*scheme, overlay, trace, request);
   const graph::NodeId receivers[] = {flow.destination};
   return request.format == DumpFormat::kDot
              ? renderDot(dg, topology, flow.source, receivers)
@@ -147,14 +128,8 @@ std::string dumpGroupGraph(const graph::Graph& overlay,
                            const GraphDumpRequest& request) {
   validateRequest(trace, request);
   auto scheme = makeGroupScheme(kind, overlay, group, schemeParams);
-  const routing::NetworkView baselineView =
-      routing::NetworkView::baseline(trace);
-  scheme->initialize(baselineView);
-  const trace::ConditionIndex index(trace);
-  trace::ConditionTimeline cursor(trace);
-  const graph::DisseminationGraph& dg = replaySelect(
-      *scheme, trace, baselineView, index, cursor, request.interval,
-      static_cast<std::size_t>(request.viewStaleness));
+  const graph::DisseminationGraph& dg =
+      replaySelect(*scheme, overlay, trace, request);
   return request.format == DumpFormat::kDot
              ? renderDot(dg, topology, group.source, group.receivers)
              : renderJson(dg, topology, group.source, group.receivers,

@@ -6,32 +6,9 @@
 #include <utility>
 
 #include "playback/delivery_model.hpp"
-#include "routing/network_view.hpp"
 #include "util/rng.hpp"
 
 namespace dg::mcast {
-
-namespace {
-
-/// Deterministic per-(group, scheme, interval) RNG stream. Same mixing
-/// function as the unicast engine's, folding in every receiver (in group
-/// order) and the scheme's unicast equivalent -- so a single-receiver
-/// group derives the *identical* stream as the unicast run it must match
-/// bit for bit.
-std::uint64_t groupMixSeed(std::uint64_t seed, const Group& group,
-                           GroupSchemeKind kind, std::size_t interval) {
-  std::uint64_t x = seed;
-  const auto mix = [&x](std::uint64_t v) {
-    x ^= v + 0x9E3779B97F4A7C15ULL + (x << 6) + (x >> 2);
-  };
-  mix(group.source);
-  for (const graph::NodeId r : group.receivers) mix(r);
-  mix(static_cast<std::uint64_t>(unicastEquivalent(kind)));
-  mix(interval);
-  return x;
-}
-
-}  // namespace
 
 void GroupRunPartial::resize(std::size_t receiverCount) {
   if (receiverMiss.size() == receiverCount) return;
@@ -61,46 +38,160 @@ void GroupRunPartial::merge(GroupRunPartial&& later) {
   costStats.merge(later.costStats);
   unavailableAllSeconds += later.unavailableAllSeconds;
   problematicIntervals += later.problematicIntervals;
-  if (problems.empty()) {
-    problems = std::move(later.problems);
-  } else {
-    problems.insert(problems.end(), later.problems.begin(),
-                    later.problems.end());
-  }
+  playback::appendInOrder(problems, std::move(later.problems));
 }
+
+/// Group evaluation: per-receiver misses on the deterministic path (group
+/// accounting by inclusion-exclusion and the delivered-to-k DP) or the
+/// per-sample delivered-count histogram under Monte-Carlo.
+class GroupPlaybackEngine::EvalStep {
+ public:
+  using Eval = GroupIntervalEval;
+  using Partial = GroupRunPartial;
+  static constexpr playback::ReplayMetricNames kMetrics{
+      "group",
+      "dg_mcast_intervals_total",
+      "dg_mcast_mc_intervals_total",
+      "dg_mcast_mc_samples_total",
+      "dg_mcast_graph_switches_total",
+      "dg_mcast_miss_all_probability"};
+
+  EvalStep(const GroupPlaybackParams& params, const Group& group,
+           GroupSchemeKind kind)
+      : params_(params.base),
+        group_(group),
+        kind_(kind),
+        receiverCount_(group.receivers.size()),
+        // Delivered-to-k bar: 0 means "all receivers".
+        kBar_(params.deliveredK == 0 || params.deliveredK >= receiverCount_
+                  ? receiverCount_
+                  : params.deliveredK),
+        deadlines_(receiverCount_),
+        onTimeCounts_(receiverCount_),
+        deliveredHistogram_(receiverCount_ + 1),
+        dp_(receiverCount_ + 1) {
+    for (std::size_t r = 0; r < receiverCount_; ++r)
+      deadlines_[r] = receiverDeadline(group, r, params_.delivery.deadline);
+  }
+
+  std::string label() const { return groupLabel(group_); }
+  graph::NodeId source() const { return group_.source; }
+  std::string_view schemeName() const { return groupSchemeName(kind_); }
+  double observedMiss(const Eval& eval) const { return eval.missAll; }
+
+  void evaluateInterval(std::size_t t, const graph::DisseminationGraph& dg,
+                        std::span<const double> lossRates,
+                        std::span<const util::SimTime> latencies, Eval& eval,
+                        playback::StageClock& /*clock*/) {
+    const std::size_t n = receiverCount_;
+    eval.miss.resize(n);  // no-op after the first interval
+    eval.arrival.resize(n);
+    if (playback::nearLossless(dg, lossRates, params_.lossEpsilon)) {
+      playback::missGroupNearLossless(dg, group_.receivers, deadlines_,
+                                      lossRates, latencies, params_.delivery,
+                                      workspace_, eval.miss, eval.arrival);
+      eval.monteCarlo = false;
+      // Group accounting under per-receiver independence (residual misses
+      // live on near-disjoint earliest paths; shared hops make this an
+      // upper bound on the delivered-to-all probability gap): P(some
+      // receiver misses) via incremental inclusion-exclusion.
+      double missAll = eval.miss[0];
+      for (std::size_t r = 1; r < n; ++r)
+        missAll = missAll + eval.miss[r] - missAll * eval.miss[r];
+      eval.missAll = missAll;
+      if (kBar_ == n) {
+        eval.missK = missAll;
+      } else {
+        // Poisson-binomial tail: dp[c] = P(exactly c receivers on time)
+        // after the receivers folded so far.
+        std::fill(dp_.begin(), dp_.end(), 0.0);
+        dp_[0] = 1.0;
+        for (std::size_t r = 0; r < n; ++r) {
+          const double q = 1.0 - eval.miss[r];
+          for (std::size_t c = r + 1; c >= 1; --c)
+            dp_[c] = dp_[c] * eval.miss[r] + dp_[c - 1] * q;
+          dp_[0] *= eval.miss[r];
+        }
+        double atLeastK = 0.0;
+        for (std::size_t c = kBar_; c <= n; ++c) atLeastK += dp_[c];
+        eval.missK = 1.0 - atLeastK;
+      }
+    } else {
+      // The group's stream folds in every receiver (in group order) and
+      // the scheme's unicast equivalent, so a single-receiver group draws
+      // the unicast run's stream.
+      util::Rng rng(playback::intervalSeed(params_.seed, group_.source,
+                                           group_.receivers,
+                                           unicastEquivalent(kind_), t));
+      playback::onTimeCountsMCGroup(dg, group_.receivers, deadlines_,
+                                    lossRates, latencies, params_.delivery,
+                                    params_.mcSamples, rng, workspace_,
+                                    onTimeCounts_, deliveredHistogram_);
+      const auto samples = static_cast<double>(params_.mcSamples);
+      for (std::size_t r = 0; r < n; ++r)
+        eval.miss[r] = 1.0 - static_cast<double>(onTimeCounts_[r]) / samples;
+      int deliveredAtLeastK = 0;
+      for (std::size_t c = kBar_; c <= n; ++c)
+        deliveredAtLeastK += deliveredHistogram_[c];
+      eval.missAll =
+          1.0 - static_cast<double>(deliveredHistogram_[n]) / samples;
+      eval.missK = 1.0 - static_cast<double>(deliveredAtLeastK) / samples;
+      playback::groupCleanArrivals(dg, latencies, group_.receivers,
+                                   workspace_, eval.arrival);
+      eval.monteCarlo = true;
+    }
+    eval.cost = static_cast<double>(dg.cost(latencies));
+  }
+
+  void accumulate(GroupRunPartial& acc, std::size_t t, const Eval& eval,
+                  double intervalSeconds) const {
+    acc.resize(receiverCount_);  // no-op once sized
+    for (std::size_t r = 0; r < receiverCount_; ++r) {
+      acc.receiverMiss[r].add(eval.miss[r], 1.0);
+      if (eval.arrival[r] != util::kNever)
+        acc.receiverLatency[r].add(static_cast<double>(eval.arrival[r]));
+      acc.receiverUnavailableSeconds[r] += eval.miss[r] * intervalSeconds;
+      if (eval.miss[r] > params_.problematicThreshold)
+        ++acc.receiverProblematic[r];
+    }
+    acc.missAllMean.add(eval.missAll, 1.0);
+    acc.missKMean.add(eval.missK, 1.0);
+    acc.costStats.add(eval.cost);
+    acc.unavailableAllSeconds += eval.missAll * intervalSeconds;
+    if (eval.missAll > params_.problematicThreshold) {
+      ++acc.problematicIntervals;
+      acc.problems.push_back(  // dgcheck: ok(R5): bounded by problematic intervals; diagnostic record with amortized growth
+          playback::ProblematicInterval{t, eval.missAll});
+    }
+  }
+
+ private:
+  const playback::PlaybackParams& params_;
+  const Group& group_;
+  GroupSchemeKind kind_;
+  std::size_t receiverCount_;
+  std::size_t kBar_;
+  playback::DeliveryWorkspace workspace_;
+  // Per-receiver deadlines plus the Monte-Carlo tallies and the
+  // delivered-to-k DP row, sized once so per-interval work never
+  // allocates.
+  std::vector<util::SimTime> deadlines_;
+  std::vector<int> onTimeCounts_;
+  std::vector<int> deliveredHistogram_;
+  std::vector<double> dp_;
+};
 
 GroupPlaybackEngine::GroupPlaybackEngine(const graph::Graph& overlay,
                                          const trace::Trace& trace,
                                          GroupPlaybackParams params)
-    : overlay_(&overlay),
-      trace_(&trace),
-      params_(params),
-      conditionIndex_(trace) {
-  if (trace.edgeCount() != overlay.edgeCount())
-    throw std::invalid_argument(
-        "GroupPlaybackEngine: trace edge count does not match overlay");
-  if (params_.base.viewStaleness < 0)
-    throw std::invalid_argument("GroupPlaybackEngine: negative staleness");
-  for (std::size_t t = 0; t < trace.intervalCount(); ++t) {
-    if (trace.hasDeviation(t)) deviatingIntervals_.push_back(t);
-  }
-}
-
-std::size_t GroupPlaybackEngine::nextDeviatingDecision(
-    std::size_t fromInterval, std::size_t staleness) const {
-  const std::size_t fromView =
-      fromInterval > staleness ? fromInterval - staleness : 0;
-  const auto it = std::lower_bound(deviatingIntervals_.begin(),
-                                   deviatingIntervals_.end(), fromView);
-  if (it == deviatingIntervals_.end()) return trace_->intervalCount();
-  return std::max(fromInterval, *it + staleness);
-}
+    : params_(params),
+      core_(overlay, trace, params_.base, "GroupPlaybackEngine") {}
 
 GroupSchemeResult GroupPlaybackEngine::run(
     const Group& group, GroupSchemeKind kind,
     const routing::SchemeParams& schemeParams,
     telemetry::Telemetry* telemetry) const {
-  return runRange(group, kind, schemeParams, 0, trace_->intervalCount(),
+  return runRange(group, kind, schemeParams, 0, trace().intervalCount(),
                   telemetry);
 }
 
@@ -108,38 +199,13 @@ GroupSchemeResult GroupPlaybackEngine::runRange(
     const Group& group, GroupSchemeKind kind,
     const routing::SchemeParams& schemeParams, std::size_t first,
     std::size_t last, telemetry::Telemetry* telemetry) const {
-  if (first > last || last > trace_->intervalCount())
-    throw std::out_of_range("GroupPlaybackEngine::runRange: bad range");
-  return runCore(group, kind, schemeParams, first, last, telemetry);
-}
-
-GroupSchemeResult GroupPlaybackEngine::runCore(
-    const Group& group, GroupSchemeKind kind,
-    const routing::SchemeParams& schemeParams, std::size_t first,
-    std::size_t last, telemetry::Telemetry* telemetry) const {
-  auto scheme = makeGroupScheme(kind, *overlay_, group, schemeParams);
-  if (params_.base.decisionMemo) scheme->attachDecisionMemo(&decisionMemo_);
-  const routing::NetworkView baselineView =
-      routing::NetworkView::baseline(*trace_);
-  scheme->initialize(baselineView);
-
-  trace::ConditionTimeline decisionCursor(*trace_);
-  trace::ConditionTimeline truthCursor(*trace_);
-
-  ScoreSpec spec;
-  spec.scheme = scheme.get();
-  spec.baselineView = &baselineView;
-  spec.group = &group;
-  spec.kind = kind;
-  spec.first = first;
-  spec.last = last;
-  spec.warmupUntil =
-      first + static_cast<std::size_t>(params_.base.viewStaleness);
-  spec.decisionCursor = &decisionCursor;
-  spec.truthCursor = &truthCursor;
-  spec.telemetry = telemetry;
-  spec.reuseCleanEvals = true;
-  return finalizePartial(group, kind, scoreIntervals(spec));
+  const playback::ScoreSpec spec{.caller = "GroupPlaybackEngine::runRange",
+                                 .historyStart = first,
+                                 .first = first,
+                                 .last = last,
+                                 .telemetry = telemetry};
+  return finalizePartial(group, kind,
+                         replay(group, kind, schemeParams, spec));
 }
 
 // dgcheck: hot
@@ -149,72 +215,26 @@ GroupRunPartial GroupPlaybackEngine::runChunkPartial(
     std::size_t last, trace::ConditionSource* decisionSource,
     trace::ConditionSource* truthSource,
     telemetry::Telemetry* telemetry) const {
-  if (first > last || last > trace_->intervalCount())
-    throw std::out_of_range("GroupPlaybackEngine::runChunkPartial: bad range");
-  if (!params_.base.conditionCursor)
-    throw std::logic_error(
-        "GroupPlaybackEngine::runChunkPartial requires conditionCursor mode");
+  const playback::ScoreSpec spec{
+      .caller = "GroupPlaybackEngine::runChunkPartial",
+      .first = first,
+      .last = last,
+      .decisionSource = decisionSource,
+      .truthSource = truthSource,
+      .telemetry = telemetry};
+  return replay(group, kind, schemeParams, spec);
+}
 
-  auto scheme = makeGroupScheme(kind, *overlay_, group, schemeParams);
+GroupRunPartial GroupPlaybackEngine::replay(
+    const Group& group, GroupSchemeKind kind,
+    const routing::SchemeParams& schemeParams,
+    const playback::ScoreSpec& spec) const {
+  // dgcheck: setup begin
+  auto scheme = makeGroupScheme(kind, core_.overlay(), group, schemeParams);
   if (params_.base.decisionMemo) scheme->attachDecisionMemo(&decisionMemo_);
-  const routing::NetworkView baselineView =
-      routing::NetworkView::baseline(*trace_);
-  scheme->initialize(baselineView);
-
-  std::optional<trace::ConditionTimeline> decisionCursor;
-  std::optional<trace::ConditionTimeline> truthCursor;
-  if (decisionSource != nullptr) {
-    decisionCursor.emplace(*decisionSource);
-  } else {
-    decisionCursor.emplace(*trace_);
-  }
-  if (truthSource != nullptr) {
-    truthCursor.emplace(*truthSource);
-  } else {
-    truthCursor.emplace(*trace_);
-  }
-
-  // Warm-up replay over [0, first), jumping clean steady spans exactly as
-  // the unicast engine does (telemetry is detached here, so skipped
-  // fixed-point selects are unobservable).
-  const auto staleness = static_cast<std::size_t>(params_.base.viewStaleness);
-  const graph::DisseminationGraph* dg = nullptr;
-  std::size_t t = 0;
-  while (t < first) {
-    if (t < staleness || !trace_->hasDeviation(t - staleness)) {
-      dg = &scheme->select(baselineView);
-      if (scheme->steadyOnBaseline()) {
-        t = nextDeviatingDecision(t + 1, staleness);
-        continue;
-      }
-      ++t;
-    } else {
-      const std::size_t viewInterval = t - staleness;
-      decisionCursor->seek(viewInterval);
-      const routing::NetworkView view = routing::NetworkView::borrowing(
-          *decisionCursor, conditionIndex_.contentId(viewInterval));
-      dg = &scheme->select(view);
-      ++t;
-    }
-  }
-
-  ScoreSpec spec;
-  spec.scheme = scheme.get();
-  spec.baselineView = &baselineView;
-  spec.group = &group;
-  spec.kind = kind;
-  spec.first = first;
-  spec.last = last;
-  spec.warmupUntil = staleness;  // scheme history starts at interval 0
-  spec.decisionCursor = &*decisionCursor;
-  spec.truthCursor = &*truthCursor;
-  spec.telemetry = telemetry;
-  spec.reuseCleanEvals = true;
-  if (telemetry != nullptr && dg != nullptr) {
-    spec.lastSelectedEdges = dg->edges();
-    spec.haveSelected = true;
-  }
-  return scoreIntervals(spec);
+  EvalStep step(params_, group, kind);
+  // dgcheck: setup end
+  return core_.score(*scheme, step, spec);
 }
 
 GroupSchemeResult GroupPlaybackEngine::finalizePartial(
@@ -240,257 +260,6 @@ GroupSchemeResult GroupPlaybackEngine::finalizePartial(
   }
   result.problems = std::move(total.problems);
   return result;
-}
-
-GroupRunPartial GroupPlaybackEngine::scoreIntervals(ScoreSpec& spec) const {
-  // dgcheck: setup begin
-  const bool useCursor = params_.base.conditionCursor;
-  const bool reuseCleanEvals = spec.reuseCleanEvals;
-  GroupScheme& scheme = *spec.scheme;
-  telemetry::Telemetry* telemetry = spec.telemetry;
-  const Group& group = *spec.group;
-  const std::size_t receiverCount = group.receivers.size();
-
-  // Per-receiver deadlines resolved once per range.
-  std::vector<util::SimTime> deadlines(receiverCount);
-  for (std::size_t r = 0; r < receiverCount; ++r) {
-    deadlines[r] =
-        receiverDeadline(group, r, params_.base.delivery.deadline);
-  }
-  // Delivered-to-k bar: 0 means "all receivers".
-  const std::size_t kBar =
-      params_.deliveredK == 0 || params_.deliveredK >= receiverCount
-          ? receiverCount
-          : params_.deliveredK;
-
-  telemetry::Counter* intervalsCounter = nullptr;
-  telemetry::Counter* mcIntervalsCounter = nullptr;
-  telemetry::Counter* mcSamplesCounter = nullptr;
-  telemetry::Counter* switchCounter = nullptr;
-  telemetry::HistogramMetric* missHistogram = nullptr;
-  if (telemetry != nullptr) {
-    const std::string label = groupLabel(group);
-    const std::string schemeLabel{groupSchemeName(spec.kind)};
-    scheme.setTelemetry(telemetry, label);
-    const telemetry::Labels labels{{"group", label},
-                                   {"scheme", schemeLabel}};
-    telemetry::MetricsRegistry& metrics = telemetry->metrics;
-    intervalsCounter = &metrics.counter("dg_mcast_intervals_total", labels);
-    mcIntervalsCounter =
-        &metrics.counter("dg_mcast_mc_intervals_total", labels);
-    mcSamplesCounter = &metrics.counter("dg_mcast_mc_samples_total", labels);
-    switchCounter = &metrics.counter("dg_mcast_graph_switches_total", labels);
-    missHistogram = &metrics.histogram("dg_mcast_miss_all_probability", 0.0,
-                                       1.0, 20, labels);
-  }
-
-  // Steady fast path, same observability rule as the unicast engine:
-  // skipped fixed-point selects must be unobservable.
-  const bool fastPathOk =
-      useCursor && telemetry == nullptr && reuseCleanEvals;
-
-  GroupRunPartial total;
-  GroupRunPartial block;
-  const std::size_t blockLen = params_.base.accumBlockIntervals;
-  GroupRunPartial* const acc = blockLen > 0 ? &block : &total;
-  acc->resize(receiverCount);
-
-  const double intervalSeconds = util::toSeconds(trace_->intervalLength());
-  playback::DeliveryWorkspace workspace;
-
-  // Hot-loop buffers, hoisted so per-interval work never allocates once
-  // capacities settle: the interval evaluation (and its clean-reuse
-  // copy), the Monte-Carlo tallies, and the delivered-to-k DP row.
-  GroupIntervalEval eval;
-  GroupIntervalEval cachedEval;
-  eval.miss.resize(receiverCount);
-  eval.arrival.resize(receiverCount);
-  std::vector<int> onTimeCounts(receiverCount);
-  std::vector<int> deliveredHistogram(receiverCount + 1);
-  std::vector<double> dp(receiverCount + 1);
-
-  // Run-local clean-interval reuse, identical contract to the unicast
-  // engine's (same reset points, same pointer/edge-list check).
-  std::vector<graph::EdgeId> cachedEdges;
-  bool cacheValid = false;
-  const graph::DisseminationGraph* cachedDg = nullptr;
-
-  const graph::DisseminationGraph* dg = nullptr;
-  bool steady = false;
-
-  const auto staleness = static_cast<std::size_t>(params_.base.viewStaleness);
-  // dgcheck: setup end
-  for (std::size_t t = spec.first; t < spec.last; ++t) {
-    if (blockLen > 0 && t != spec.first && t % blockLen == 0) {
-      total.merge(std::move(block));
-      block = GroupRunPartial{};
-      block.resize(receiverCount);
-      cacheValid = false;
-      cachedDg = nullptr;
-    }
-    if (telemetry != nullptr) {
-      telemetry->now =
-          static_cast<util::SimTime>(t) * trace_->intervalLength();
-    }
-    // --- Decision: what does the scheme believe right now? -------------
-    const bool baselineDecision =
-        t < spec.warmupUntil || !trace_->hasDeviation(t - staleness);
-    if (baselineDecision) {
-      if (!(steady && fastPathOk)) {
-        dg = &scheme.select(*spec.baselineView);
-        steady = scheme.steadyOnBaseline();
-        cachedDg = nullptr;
-      }
-    } else if (useCursor) {
-      const std::size_t viewInterval = t - staleness;
-      spec.decisionCursor->seek(viewInterval);
-      const routing::NetworkView view = routing::NetworkView::borrowing(
-          *spec.decisionCursor, conditionIndex_.contentId(viewInterval));
-      dg = &scheme.select(view);
-      steady = false;
-      cachedDg = nullptr;
-    } else {
-      const routing::NetworkView view =
-          routing::NetworkView::atInterval(*trace_, t - staleness);
-      dg = &scheme.select(view);
-      steady = false;
-      cachedDg = nullptr;
-    }
-    if (telemetry != nullptr) {
-      if (spec.haveSelected && dg->edges() != spec.lastSelectedEdges) {
-        switchCounter->inc();
-        telemetry->trace.record(
-            telemetry->now, telemetry::TraceEventKind::GraphSwitch, -1,
-            group.source, -1, static_cast<double>(dg->edges().size()),
-            std::string(groupSchemeName(spec.kind)));
-      }
-      spec.lastSelectedEdges = dg->edges();
-      spec.haveSelected = true;
-    }
-
-    // --- Outcome under the interval's true conditions ------------------
-    const bool clean = !trace_->hasDeviation(t);
-    if (reuseCleanEvals && clean && cacheValid &&
-        (dg == cachedDg || dg->edges() == cachedEdges)) {
-      eval = cachedEval;
-    } else {
-      std::span<const double> lossRates;
-      std::span<const util::SimTime> latencies;
-      std::vector<double> lossBuffer;  // dgcheck: ok(R5): non-cursor fallback; conditionCursor runs never construct these
-      std::vector<util::SimTime> latencyBuffer;  // dgcheck: ok(R5): non-cursor fallback; conditionCursor runs never construct these
-      if (useCursor) {
-        spec.truthCursor->seek(t);
-        lossRates = spec.truthCursor->lossRates();
-        latencies = spec.truthCursor->latencies();
-      } else {
-        lossBuffer = trace_->lossRatesAt(t);
-        latencyBuffer = trace_->latenciesAt(t);
-        lossRates = lossBuffer;
-        latencies = latencyBuffer;
-      }
-
-      const bool deterministic =
-          playback::nearLossless(*dg, lossRates, params_.base.lossEpsilon);
-      if (deterministic) {
-        playback::missGroupNearLossless(*dg, group.receivers, deadlines,
-                                        lossRates, latencies,
-                                        params_.base.delivery, workspace,
-                                        eval.miss, eval.arrival);
-        eval.monteCarlo = false;
-        // Group accounting under per-receiver independence (residual
-        // misses live on near-disjoint earliest paths; shared hops make
-        // this an upper bound on the delivered-to-all probability gap):
-        // P(some receiver misses) via incremental inclusion-exclusion.
-        double missAll = eval.miss[0];
-        for (std::size_t r = 1; r < receiverCount; ++r) {
-          missAll = missAll + eval.miss[r] - missAll * eval.miss[r];
-        }
-        eval.missAll = missAll;
-        if (kBar == receiverCount) {
-          eval.missK = missAll;
-        } else {
-          // Poisson-binomial tail: dp[c] = P(exactly c receivers on
-          // time) after the receivers folded so far.
-          std::fill(dp.begin(), dp.end(), 0.0);
-          dp[0] = 1.0;
-          for (std::size_t r = 0; r < receiverCount; ++r) {
-            const double q = 1.0 - eval.miss[r];
-            for (std::size_t c = r + 1; c >= 1; --c) {
-              dp[c] = dp[c] * eval.miss[r] + dp[c - 1] * q;
-            }
-            dp[0] *= eval.miss[r];
-          }
-          double atLeastK = 0.0;
-          for (std::size_t c = kBar; c <= receiverCount; ++c)
-            atLeastK += dp[c];
-          eval.missK = 1.0 - atLeastK;
-        }
-      } else {
-        util::Rng rng(
-            groupMixSeed(params_.base.seed, group, spec.kind, t));
-        playback::onTimeCountsMCGroup(*dg, group.receivers, deadlines,
-                                      lossRates, latencies,
-                                      params_.base.delivery,
-                                      params_.base.mcSamples, rng, workspace,
-                                      onTimeCounts, deliveredHistogram);
-        const auto samples = static_cast<double>(params_.base.mcSamples);
-        for (std::size_t r = 0; r < receiverCount; ++r) {
-          eval.miss[r] =
-              1.0 - static_cast<double>(onTimeCounts[r]) / samples;
-        }
-        int deliveredAtLeastK = 0;
-        for (std::size_t c = kBar; c <= receiverCount; ++c)
-          deliveredAtLeastK += deliveredHistogram[c];
-        eval.missAll =
-            1.0 -
-            static_cast<double>(deliveredHistogram[receiverCount]) / samples;
-        eval.missK =
-            1.0 - static_cast<double>(deliveredAtLeastK) / samples;
-        playback::groupCleanArrivals(*dg, latencies, group.receivers,
-                                     workspace, eval.arrival);
-        eval.monteCarlo = true;
-      }
-      eval.cost = static_cast<double>(dg->cost(latencies));
-
-      if (reuseCleanEvals && clean) {
-        cachedEdges = dg->edges();
-        cachedEval = eval;
-        cacheValid = true;
-        cachedDg = dg;
-      }
-      if (eval.monteCarlo && mcIntervalsCounter != nullptr) {
-        mcIntervalsCounter->inc();
-        mcSamplesCounter->inc(
-            static_cast<std::uint64_t>(params_.base.mcSamples));
-      }
-    }
-    if (intervalsCounter != nullptr) {
-      intervalsCounter->inc();
-      missHistogram->observe(eval.missAll);
-    }
-
-    for (std::size_t r = 0; r < receiverCount; ++r) {
-      acc->receiverMiss[r].add(eval.miss[r], 1.0);
-      if (eval.arrival[r] != util::kNever) {
-        acc->receiverLatency[r].add(static_cast<double>(eval.arrival[r]));
-      }
-      acc->receiverUnavailableSeconds[r] += eval.miss[r] * intervalSeconds;
-      if (eval.miss[r] > params_.base.problematicThreshold) {
-        ++acc->receiverProblematic[r];
-      }
-    }
-    acc->missAllMean.add(eval.missAll, 1.0);
-    acc->missKMean.add(eval.missK, 1.0);
-    acc->costStats.add(eval.cost);
-    acc->unavailableAllSeconds += eval.missAll * intervalSeconds;
-    if (eval.missAll > params_.base.problematicThreshold) {
-      ++acc->problematicIntervals;
-      acc->problems.push_back(  // dgcheck: ok(R5): bounded by problematic intervals; diagnostic record with amortized growth
-          playback::ProblematicInterval{t, eval.missAll});
-    }
-  }
-  if (blockLen > 0) total.merge(std::move(block));
-  return total;
 }
 
 }  // namespace dg::mcast

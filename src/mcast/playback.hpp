@@ -1,10 +1,10 @@
 // Group playback: replays a condition trace for one receiver set under
-// one group scheme. Structure and replay semantics mirror
-// playback::PlaybackEngine interval for interval -- same decision
-// staleness, same warm-up replay, same steady fast path, same blocked
-// accumulation contract -- with the evaluation generalized to N receiver
-// deadlines per send: per-receiver miss/latency plus group-level
-// delivered-to-all and delivered-to-k accounting.
+// one group scheme. The replay itself -- decision staleness, warm-up,
+// steady fast path, blocked accumulation -- is playback::ReplayCore, the
+// same core the unicast engine runs; this engine supplies the evaluation
+// step, generalized to N receiver deadlines per send: per-receiver
+// miss/latency plus group-level delivered-to-all and delivered-to-k
+// accounting.
 //
 // A single-receiver group is bit-identical to the unicast engine run of
 // the scheme's unicastEquivalent() for every scheme pair (pinned by
@@ -106,10 +106,10 @@ class GroupPlaybackEngine {
                              std::size_t first, std::size_t last,
                              telemetry::Telemetry* telemetry = nullptr) const;
 
-  /// Chunk-parallel building block, mirroring
+  /// Chunk-parallel building block, with the same contract as
   /// PlaybackEngine::runChunkPartial (warm-up replay over [0, first) with
   /// steady-span jumps, worker-private condition sources, GraphSwitch
-  /// continuity). Requires conditionCursor mode.
+  /// continuity).
   GroupRunPartial runChunkPartial(
       const Group& group, GroupSchemeKind kind,
       const routing::SchemeParams& schemeParams, std::size_t first,
@@ -121,10 +121,10 @@ class GroupPlaybackEngine {
   GroupSchemeResult finalizePartial(const Group& group, GroupSchemeKind kind,
                                     GroupRunPartial&& total) const;
 
-  const trace::Trace& trace() const { return *trace_; }
+  const trace::Trace& trace() const { return core_.trace(); }
   const GroupPlaybackParams& params() const { return params_; }
   const trace::ConditionIndex& conditionIndex() const {
-    return conditionIndex_;
+    return core_.conditionIndex();
   }
   const routing::DecisionMemo& decisionMemo() const { return decisionMemo_; }
 
@@ -139,38 +139,15 @@ class GroupPlaybackEngine {
     double cost = 0.0;
     bool monteCarlo = false;
   };
+  /// The group evaluation step plugged into playback::ReplayCore::score.
+  class EvalStep;
 
-  struct ScoreSpec {
-    GroupScheme* scheme = nullptr;
-    const routing::NetworkView* baselineView = nullptr;
-    const Group* group = nullptr;
-    GroupSchemeKind kind{};
-    std::size_t first = 0;
-    std::size_t last = 0;
-    std::size_t warmupUntil = 0;
-    trace::ConditionTimeline* decisionCursor = nullptr;
-    trace::ConditionTimeline* truthCursor = nullptr;
-    telemetry::Telemetry* telemetry = nullptr;
-    bool reuseCleanEvals = true;
-    std::vector<graph::EdgeId> lastSelectedEdges;
-    bool haveSelected = false;
-  };
+  GroupRunPartial replay(const Group& group, GroupSchemeKind kind,
+                         const routing::SchemeParams& schemeParams,
+                         const playback::ScoreSpec& spec) const;
 
-  GroupSchemeResult runCore(const Group& group, GroupSchemeKind kind,
-                            const routing::SchemeParams& schemeParams,
-                            std::size_t first, std::size_t last,
-                            telemetry::Telemetry* telemetry) const;
-
-  GroupRunPartial scoreIntervals(ScoreSpec& spec) const;
-
-  std::size_t nextDeviatingDecision(std::size_t fromInterval,
-                                    std::size_t staleness) const;
-
-  const graph::Graph* overlay_;
-  const trace::Trace* trace_;
   GroupPlaybackParams params_;
-  trace::ConditionIndex conditionIndex_;
-  std::vector<std::size_t> deviatingIntervals_;
+  playback::ReplayCore core_;
 
   /// Cross-job decision memo shared by the per-receiver sub-schemes
   /// (keyed by their unicast-equivalent contexts). Group runs do not

@@ -1,16 +1,11 @@
 #include "playback/experiment.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <memory>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
-#include "store/reader.hpp"
 #include "util/logging.hpp"
 #include "util/stats.hpp"
-#include "util/wall_clock.hpp"
 
 namespace dg::playback {
 
@@ -64,49 +59,30 @@ void summarizeSchemes(ExperimentResult& result,
   result.summary = std::move(summaries);
 }
 
-/// Clamps and validates config.flowWindows against the trace geometry:
-/// one [first, last) pair per flow, {0, intervalCount} for every flow
-/// when no windows are configured. Throws std::invalid_argument on a
-/// length mismatch or a window that clamps to empty.
-std::vector<std::pair<std::size_t, std::size_t>> resolveWindows(
-    const ExperimentConfig& config, std::size_t intervalCount) {
-  std::vector<std::pair<std::size_t, std::size_t>> windows(
-      config.flows.size(), {std::size_t{0}, intervalCount});
-  if (config.flowWindows.empty()) return windows;
-  if (config.flowWindows.size() != config.flows.size())
-    throw std::invalid_argument(
-        "flowWindows must be empty or parallel to flows");
-  for (std::size_t f = 0; f < config.flows.size(); ++f) {
-    const std::size_t first =
-        std::min(config.flowWindows[f].firstInterval, intervalCount);
-    const std::size_t last =
-        std::min(config.flowWindows[f].lastInterval, intervalCount);
-    if (first >= last)
-      throw std::invalid_argument("flowWindows: empty window for flow " +
-                                  std::to_string(f));
-    windows[f] = {first, last};
+/// Runs the sweep over `layout` and collects it into `result`:
+/// experiment metrics after the sequential telemetry merge, stage
+/// timings, per-scheme summaries. Returns the worker count used.
+unsigned sweepFlows(ExperimentResult& result, const PlaybackEngine& engine,
+                    const ExperimentConfig& config, const SweepLayout& layout,
+                    telemetry::Telemetry* telemetry) {
+  SweepOutcome<FlowSchemeResult> sweep =
+      runSweep(engine, config.flows, config.schemes, config.schemeParams,
+               resolveWindows(config.flowWindows, config.flows.size(),
+                              layout.intervalCount, "flow"),
+               layout, telemetry);
+  result.perFlow = std::move(sweep.results);
+  if (engine.params().collectStageTimings) engine.addStageMergeNs(sweep.foldNs);
+  if (telemetry != nullptr) {
+    recordSweepMetrics(*telemetry, "dg_playback", result.perFlow,
+                       &FlowSchemeResult::unavailableSeconds);
   }
-  return windows;
-}
-
-void captureStages(const PlaybackEngine& engine, ExperimentResult& result) {
   const StageTimings& timings = engine.stageTimings();
   result.stages.decodeNs = timings.decodeNs.load(std::memory_order_relaxed);
   result.stages.mcNs = timings.mcNs.load(std::memory_order_relaxed);
   result.stages.memoNs = timings.memoNs.load(std::memory_order_relaxed);
   result.stages.mergeNs = timings.mergeNs.load(std::memory_order_relaxed);
-}
-
-/// Experiment-level counters recorded after the sequential telemetry
-/// merge; identical in both runners so exports stay comparable.
-void recordExperimentMetrics(telemetry::Telemetry& telemetry,
-                             std::size_t jobs,
-                             const ExperimentResult& result) {
-  telemetry.metrics.counter("dg_playback_jobs_total").inc(jobs);
-  telemetry::SummaryMetric& perJobUnavailable =
-      telemetry.metrics.summary("dg_playback_job_unavailable_seconds");
-  for (const FlowSchemeResult& r : result.perFlow)
-    perJobUnavailable.observe(r.unavailableSeconds);
+  summarizeSchemes(result, config);
+  return sweep.threads;
 }
 
 }  // namespace
@@ -118,78 +94,15 @@ ExperimentResult runExperiment(const graph::Graph& overlay,
                                telemetry::Telemetry* telemetry) {
   if (config.flows.empty() || config.schemes.empty())
     throw std::invalid_argument("runExperiment: empty flows or schemes");
-
-  // Windowed jobs replay through runChunkPartial (full-history warm-up,
-  // same semantics as the packed runner), which requires cursor mode.
-  const bool windowed = !config.flowWindows.empty();
-  PlaybackParams playback = config.playback;
-  if (windowed) playback.conditionCursor = true;
-  const PlaybackEngine engine(overlay, trace, playback);
-  const std::vector<std::pair<std::size_t, std::size_t>> windows =
-      resolveWindows(config, trace.intervalCount());
-  const std::size_t schemeCount = config.schemes.size();
-  const std::size_t jobs = config.flows.size() * schemeCount;
-
+  const PlaybackEngine engine(overlay, trace, config.playback);
   ExperimentResult result;
-  result.perFlow.resize(jobs);
-
-  unsigned threadCount = config.threads != 0
-                             ? config.threads
-                             : std::thread::hardware_concurrency();
-  threadCount = std::max(1u, std::min<unsigned>(threadCount,
-                                                static_cast<unsigned>(jobs)));
-
-  // One private Telemetry per job: workers never share an instrument, and
-  // the sequential job-order merge below is what keeps exports
-  // byte-identical across thread counts.
-  std::vector<std::unique_ptr<telemetry::Telemetry>> jobTelemetry;
-  if (telemetry != nullptr) {
-    jobTelemetry.resize(jobs);
-    for (auto& t : jobTelemetry)
-      t = std::make_unique<telemetry::Telemetry>(telemetry->trace.capacity());
-  }
-
-  std::atomic<std::size_t> next{0};
-  const auto worker = [&] {
-    for (;;) {
-      const std::size_t job = next.fetch_add(1);
-      if (job >= jobs) return;
-      const std::size_t flowIndex = job / schemeCount;
-      const std::size_t schemeIndex = job % schemeCount;
-      telemetry::Telemetry* jobSink =
-          telemetry != nullptr ? jobTelemetry[job].get() : nullptr;
-      if (windowed) {
-        const auto [first, last] = windows[flowIndex];
-        RunPartial partial = engine.runChunkPartial(
-            config.flows[flowIndex], config.schemes[schemeIndex],
-            config.schemeParams, first, last, nullptr, nullptr, jobSink);
-        result.perFlow[job] = engine.finalizePartial(
-            config.flows[flowIndex], config.schemes[schemeIndex],
-            std::move(partial));
-      } else {
-        result.perFlow[job] =
-            engine.run(config.flows[flowIndex], config.schemes[schemeIndex],
-                       config.schemeParams, jobSink);
-      }
-    }
-  };
-  if (threadCount == 1) {
-    worker();
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(threadCount);
-    for (unsigned i = 0; i < threadCount; ++i) threads.emplace_back(worker);
-    for (std::thread& t : threads) t.join();
-  }
-
-  if (telemetry != nullptr) {
-    for (const auto& jobResult : jobTelemetry) telemetry->merge(*jobResult);
-    recordExperimentMetrics(*telemetry, jobs, result);
-  }
-
-  captureStages(engine, result);
-  summarizeSchemes(result, config);
-  DG_LOG(Info) << "experiment complete: " << jobs << " runs";
+  sweepFlows(result, engine, config,
+             {.intervalCount = trace.intervalCount(),
+              .chunkIntervals = trace.intervalCount(),
+              .threads = config.threads},
+             telemetry);
+  DG_LOG(Info) << "experiment complete: " << result.perFlow.size()
+               << " runs";
   return result;
 }
 
@@ -201,134 +114,35 @@ ExperimentResult runPackedExperiment(const graph::Graph& overlay,
   if (config.flows.empty() || config.schemes.empty())
     throw std::invalid_argument(
         "runPackedExperiment: empty flows or schemes");
+  PackedSweep packed =
+      openPackedSweep(packedPath, config.threads, "runPackedExperiment");
 
-  store::PackedTraceReader reader = store::PackedTraceReader::open(packedPath);
-  if (reader.info().intervalCount == 0 || reader.info().chunkCount == 0)
-    throw std::invalid_argument("runPackedExperiment: empty trace");
-  const trace::Trace trace = reader.readAll();
-
-  // The chunk is the accumulation block: the per-job fold below then
-  // reproduces a single-threaded blocked run bit for bit (see
-  // PlaybackParams::accumBlockIntervals). The cursor mode is what
-  // runChunkPartial requires.
+  // The chunk is the accumulation block: the per-job fold then reproduces
+  // a single-threaded blocked run bit for bit (see
+  // PlaybackParams::accumBlockIntervals).
   PlaybackParams playback = config.playback;
-  playback.conditionCursor = true;
-  playback.accumBlockIntervals = reader.info().chunkIntervals;
-  const PlaybackEngine engine(overlay, trace, playback);
+  playback.accumBlockIntervals = packed.layout.chunkIntervals;
+  const PlaybackEngine engine(overlay, packed.trace, playback);
 
   ExperimentResult result;
   const bool useMemoCache =
       !config.memoCachePath.empty() && playback.decisionMemo;
   std::uint64_t fingerprint = 0;
   if (useMemoCache) {
-    fingerprint = reader.contentFingerprint();
+    fingerprint = packed.reader.contentFingerprint();
     result.memoCacheLoad = loadMemoCache(config.memoCachePath, fingerprint,
                                          engine.decisionMemoMutable());
     DG_LOG(Info) << "memo cache " << config.memoCachePath << ": "
                  << memoCacheLoadResultName(result.memoCacheLoad);
   }
-
-  const std::size_t schemeCount = config.schemes.size();
-  const std::size_t jobs = config.flows.size() * schemeCount;
-  const std::vector<std::pair<std::size_t, std::size_t>> windows =
-      resolveWindows(config,
-                     static_cast<std::size_t>(reader.info().intervalCount));
-  const std::size_t chunkCount =
-      static_cast<std::size_t>(reader.info().chunkCount);
-  const std::size_t chunkIntervals = reader.info().chunkIntervals;
-  const std::size_t intervalCount =
-      static_cast<std::size_t>(reader.info().intervalCount);
-  const std::size_t tasks = jobs * chunkCount;
-
-  result.perFlow.resize(jobs);
-  std::vector<RunPartial> partials(tasks);
-
-  unsigned threadCount = config.threads != 0
-                             ? config.threads
-                             : std::thread::hardware_concurrency();
-  threadCount = std::max(
-      1u, std::min<unsigned>(threadCount, static_cast<unsigned>(tasks)));
-
-  std::vector<std::unique_ptr<telemetry::Telemetry>> taskTelemetry;
-  if (telemetry != nullptr) {
-    taskTelemetry.resize(tasks);
-    for (auto& t : taskTelemetry)
-      t = std::make_unique<telemetry::Telemetry>(telemetry->trace.capacity());
-  }
-
-  std::atomic<std::size_t> next{0};
-  const auto worker = [&] {
-    // Worker-private reader and cursor feeds: chunk decode state is never
-    // shared across threads. Two sources because the decision cursor lags
-    // the truth cursor by the view staleness, so near a chunk boundary
-    // they sit in different chunks -- one shared source would thrash.
-    store::PackedTraceReader workerReader =
-        store::PackedTraceReader::open(packedPath);
-    store::PackedConditionSource decisionSource(workerReader);
-    store::PackedConditionSource truthSource(workerReader);
-    for (;;) {
-      const std::size_t task = next.fetch_add(1);
-      if (task >= tasks) return;
-      const std::size_t job = task / chunkCount;
-      const std::size_t chunk = task % chunkCount;
-      // Clamp the chunk to the flow's active window; chunks entirely
-      // outside leave their partial empty (merging an empty partial is a
-      // no-op). Accumulation blocks sit at absolute chunk boundaries, so
-      // the clamped fold still reproduces the single-threaded blocked
-      // run over the window -- and the skip decision depends only on the
-      // task index, preserving thread invariance.
-      const auto [windowFirst, windowLast] = windows[job / schemeCount];
-      const std::size_t first =
-          std::max(chunk * chunkIntervals, windowFirst);
-      const std::size_t last = std::min(
-          {chunk * chunkIntervals + chunkIntervals, intervalCount,
-           windowLast});
-      if (first >= last) continue;
-      partials[task] = engine.runChunkPartial(
-          config.flows[job / schemeCount], config.schemes[job % schemeCount],
-          config.schemeParams, first, last, &decisionSource, &truthSource,
-          telemetry != nullptr ? taskTelemetry[task].get() : nullptr);
-    }
-  };
-  if (threadCount == 1) {
-    worker();
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(threadCount);
-    for (unsigned i = 0; i < threadCount; ++i) threads.emplace_back(worker);
-    for (std::thread& t : threads) t.join();
-  }
-
-  // Deterministic fold: each job's chunk partials in ascending chunk
-  // order -- the same merge tree as the single-threaded blocked run.
-  const std::int64_t mergeStart =
-      playback.collectStageTimings ? util::nowNanos() : 0;
-  for (std::size_t job = 0; job < jobs; ++job) {
-    RunPartial total;
-    for (std::size_t chunk = 0; chunk < chunkCount; ++chunk)
-      total.merge(std::move(partials[job * chunkCount + chunk]));
-    result.perFlow[job] = engine.finalizePartial(
-        config.flows[job / schemeCount], config.schemes[job % schemeCount],
-        std::move(total));
-  }
-  if (playback.collectStageTimings)
-    engine.addStageMergeNs(
-        static_cast<std::uint64_t>(util::nowNanos() - mergeStart));
-
-  if (telemetry != nullptr) {
-    for (const auto& taskResult : taskTelemetry)
-      telemetry->merge(*taskResult);
-    recordExperimentMetrics(*telemetry, jobs, result);
-  }
-
+  const unsigned threads =
+      sweepFlows(result, engine, config, packed.layout, telemetry);
   if (useMemoCache)
     saveMemoCache(config.memoCachePath, fingerprint, engine.decisionMemo());
   result.memoStats = engine.decisionMemo().stats();
-
-  captureStages(engine, result);
-  summarizeSchemes(result, config);
-  DG_LOG(Info) << "packed experiment complete: " << jobs << " runs, "
-               << chunkCount << " chunks, " << threadCount << " threads";
+  DG_LOG(Info) << "packed experiment complete: " << result.perFlow.size()
+               << " runs, " << packed.layout.chunkCount << " chunks, "
+               << threads << " threads";
   return result;
 }
 

@@ -7,17 +7,11 @@
 
 #include "playback/memo_cache.hpp"
 #include "playback/playback.hpp"
+#include "playback/sweep.hpp"
 #include "routing/scheme.hpp"
 #include "trace/topology.hpp"
 
 namespace dg::playback {
-
-/// Half-open interval range a flow is active over. lastInterval values
-/// beyond the trace end are clamped to it.
-struct FlowWindow {
-  std::size_t firstInterval = 0;
-  std::size_t lastInterval = static_cast<std::size_t>(-1);
-};
 
 struct ExperimentConfig {
   std::vector<routing::Flow> flows;
@@ -108,8 +102,8 @@ ExperimentResult runExperiment(const graph::Graph& overlay,
 /// thread opens its own PackedTraceReader and feeds its cursors from
 /// private PackedConditionSources (decode state is never shared); decision
 /// state is rolled forward per chunk via the schemes' steadyOnBaseline()
-/// fast path. PlaybackParams::conditionCursor is forced on and
-/// accumBlockIntervals is forced to the container's chunk length, so the
+/// fast path. PlaybackParams::accumBlockIntervals is forced to the
+/// container's chunk length, so the
 /// per-job fold of chunk partials (done in ascending chunk order)
 /// reproduces the single-threaded blocked run bit for bit at any thread
 /// count. Telemetry follows the runExperiment discipline: per-task

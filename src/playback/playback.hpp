@@ -14,17 +14,19 @@
 // lossy are evaluated by Monte-Carlo over the per-hop outcome model.
 //
 // Hot-path architecture (see DESIGN.md, "Playback performance
-// architecture"): replay is driven by trace::ConditionTimeline cursors
-// (O(changes) per interval, zero allocation) handing out fingerprinted
-// borrowed NetworkViews; routing decisions and deterministic interval
-// evaluations are memoized across jobs in engine-owned, exact-keyed,
-// internally synchronized memos. Monte-Carlo evaluations are never
-// memoized -- each interval draws from its own deterministic RNG stream
-// -- so results are bit-identical with the memos and cursor on or off.
+// architecture"): the replay itself is playback::ReplayCore
+// (replay.hpp), shared with the group engine; this engine supplies the
+// per-interval unicast evaluation. Replay is driven by
+// trace::ConditionTimeline cursors (O(changes) per interval, zero
+// allocation) handing out fingerprinted borrowed NetworkViews; routing
+// decisions and deterministic interval evaluations are memoized across
+// jobs in engine-owned, exact-keyed, internally synchronized memos.
+// Monte-Carlo evaluations are never memoized -- each interval draws from
+// its own deterministic RNG stream -- so results are bit-identical with
+// the memos and cursor on or off.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -33,6 +35,7 @@
 
 #include "graph/graph.hpp"
 #include "playback/delivery_model.hpp"
+#include "playback/replay.hpp"
 #include "routing/decision_memo.hpp"
 #include "routing/scheme.hpp"
 #include "telemetry/telemetry.hpp"
@@ -41,51 +44,6 @@
 #include "util/stats.hpp"
 
 namespace dg::playback {
-
-struct PlaybackParams {
-  DeliveryModelParams delivery;
-  /// Monte-Carlo samples per lossy interval.
-  int mcSamples = 1000;
-  /// Member-link loss rate above which an interval needs Monte-Carlo.
-  double lossEpsilon = 1e-3;
-  /// How stale the view driving adaptive decisions is, in intervals.
-  /// 0 = oracle (decisions see current conditions), 1 = realistic.
-  int viewStaleness = 1;
-  /// An interval is counted as "problematic" for a flow/scheme when its
-  /// miss probability exceeds this.
-  double problematicThreshold = 1e-3;
-  /// Seed driving all Monte-Carlo sampling (per-interval streams are
-  /// derived deterministically, so results are independent of run order).
-  std::uint64_t seed = 7;
-  /// When set, FlowSchemeResult::intervalLatenciesUs records the selected
-  /// graph's earliest-arrival latency for every interval where delivery
-  /// is possible (for latency-distribution figures).
-  bool collectIntervalLatencies = false;
-  /// Consult/populate the engine's cross-job decision and evaluation
-  /// memos (results are bit-identical either way; off = recompute
-  /// everything, for benchmarking and equivalence tests).
-  bool decisionMemo = true;
-  /// Drive replay with the condition-timeline cursor and fingerprinted
-  /// views (off = legacy per-interval vector materialization; results
-  /// are bit-identical either way).
-  bool conditionCursor = true;
-  /// Accumulation block length in intervals. 0 (default) accumulates the
-  /// whole range into one block -- the historical behavior. When set,
-  /// per-interval statistics are folded into per-block partials at
-  /// absolute interval boundaries (t % block == 0) and the blocks are
-  /// merged in order, and the run-local clean-interval reuse cache is
-  /// reset at each boundary. This fixes the floating-point merge tree, so
-  /// a chunk-parallel sweep whose chunks coincide with the blocks
-  /// produces bit-identical results at any thread count -- and identical
-  /// to a single-threaded run with the same block length. (Results with
-  /// block B differ from block 0 in the last float bits; both are valid.)
-  std::size_t accumBlockIntervals = 0;
-  /// Accumulate per-stage wall-clock nanoseconds (decode / Monte-Carlo /
-  /// memo / merge) into PlaybackEngine::stageTimings(). Adds two clock
-  /// reads around each non-trivial operation; leave off outside
-  /// benchmarks.
-  bool collectStageTimings = false;
-};
 
 /// One problematic interval of a flow/scheme run (sparse record).
 struct ProblematicInterval {
@@ -138,20 +96,6 @@ struct RunPartial {
   void merge(RunPartial&& later);
 };
 
-/// Cumulative wall-clock nanoseconds per replay stage, summed across all
-/// runs on one engine (workers add their local tallies once per range,
-/// relaxed). Collected only when PlaybackParams::collectStageTimings is
-/// set. "decode" is condition access (cursor seeks, span fetches, legacy
-/// vector materialization), "mc" is Monte-Carlo evaluation, "memo" is
-/// routing selects plus deterministic evaluations and memo traffic,
-/// "merge" is block folds and partial merges.
-struct StageTimings {
-  std::atomic<std::uint64_t> decodeNs{0};
-  std::atomic<std::uint64_t> mcNs{0};
-  std::atomic<std::uint64_t> memoNs{0};
-  std::atomic<std::uint64_t> mergeNs{0};
-};
-
 class PlaybackEngine {
  public:
   PlaybackEngine(const graph::Graph& overlay, const trace::Trace& trace,
@@ -188,7 +132,7 @@ class PlaybackEngine {
   /// schemes' steadyOnBaseline() fixed-point contract). `decisionSource`
   /// and `truthSource` (nullable -> replay from the in-memory trace) let
   /// each worker cursor over its own PackedConditionSource so no decode
-  /// state is shared across threads. Requires conditionCursor mode.
+  /// state is shared across threads.
   ///
   /// With params().accumBlockIntervals == B > 0 and chunks aligned to B,
   /// merging the partials of a run's chunks in ascending order yields the
@@ -209,13 +153,13 @@ class PlaybackEngine {
                                    routing::SchemeKind kind,
                                    RunPartial&& total) const;
 
-  const trace::Trace& trace() const { return *trace_; }
-  const PlaybackParams& params() const { return params_; }
+  const trace::Trace& trace() const { return core_.trace(); }
+  const PlaybackParams& params() const { return core_.params(); }
 
   /// The per-interval content index built over the trace (exact
   /// memoization fingerprints; also useful for deviation statistics).
   const trace::ConditionIndex& conditionIndex() const {
-    return conditionIndex_;
+    return core_.conditionIndex();
   }
   /// The engine's cross-job decision memo (for hit-rate reporting).
   const routing::DecisionMemo& decisionMemo() const { return decisionMemo_; }
@@ -227,11 +171,11 @@ class PlaybackEngine {
 
   /// Per-stage wall-clock tallies (populated only when
   /// PlaybackParams::collectStageTimings is set).
-  const StageTimings& stageTimings() const { return stageTimings_; }
+  const StageTimings& stageTimings() const { return core_.stageTimings(); }
   /// Lets drivers (the experiment merge loop) account their own merge
   /// work in the same place.
   void addStageMergeNs(std::uint64_t ns) const {
-    stageTimings_.mergeNs.fetch_add(ns, std::memory_order_relaxed);
+    core_.stageTimings().mergeNs.fetch_add(ns, std::memory_order_relaxed);
   }
 
  private:
@@ -246,63 +190,20 @@ class PlaybackEngine {
   /// content id}. Engine-level delivery params are fixed per engine, so
   /// these four components determine the evaluation completely.
   using EvalKey = std::array<std::uint32_t, 4>;
+  /// The unicast evaluation step plugged into ReplayCore::score.
+  class EvalStep;
 
-  /// Everything the scoring loop needs. Bundled because the loop is
-  /// shared by three entry points (runRange, missTimeline,
-  /// runChunkPartial) with different warm-up offsets, cursors and
-  /// continuity seeds.
-  struct ScoreSpec {
-    routing::RoutingScheme* scheme = nullptr;
-    const routing::NetworkView* baselineView = nullptr;
-    routing::Flow flow;
-    routing::SchemeKind kind{};
-    std::size_t first = 0;
-    std::size_t last = 0;
-    /// Intervals below this are decided on the baseline view regardless
-    /// of trace content (the scheme cannot have observed anything yet).
-    /// runRange passes first + staleness; chunk partials pass the
-    /// absolute staleness because their scheme history starts at 0.
-    std::size_t warmupUntil = 0;
-    trace::ConditionTimeline* decisionCursor = nullptr;
-    trace::ConditionTimeline* truthCursor = nullptr;
-    telemetry::Telemetry* telemetry = nullptr;
-    std::vector<double>* timelineOut = nullptr;
-    bool reuseCleanEvals = true;
-    /// GraphSwitch continuity across chunk boundaries: the selection in
-    /// force at the end of warm-up (updated in place by the loop).
-    std::vector<graph::EdgeId> lastSelectedEdges;
-    bool haveSelected = false;
-  };
-
-  /// Shared replay core behind runRange (timelineOut == nullptr) and
-  /// missTimeline (timelineOut != nullptr; per-interval miss appended,
-  /// no run-local evaluation reuse, no telemetry).
-  FlowSchemeResult runCore(routing::Flow flow, routing::SchemeKind kind,
-                           const routing::SchemeParams& schemeParams,
-                           std::size_t first, std::size_t last,
-                           telemetry::Telemetry* telemetry,
-                           std::vector<double>* timelineOut) const;
-
-  /// The per-interval scoring loop (decision, truth conditions,
-  /// evaluation, accumulation) over [spec.first, spec.last).
-  RunPartial scoreIntervals(ScoreSpec& spec) const;
-
-  /// Smallest interval t >= fromInterval whose *decision* view (t -
-  /// staleness) carries a deviation; trace end if none. O(log
-  /// deviations) via the sorted deviation list built at construction.
-  std::size_t nextDeviatingDecision(std::size_t fromInterval,
-                                    std::size_t staleness) const;
+  /// One scoring pass of `flow` under a fresh scheme. `timelineOut`
+  /// (nullable) receives every interval's miss probability.
+  RunPartial replay(routing::Flow flow, routing::SchemeKind kind,
+                    const routing::SchemeParams& schemeParams,
+                    const ScoreSpec& spec,
+                    std::vector<double>* timelineOut) const;
 
   std::optional<IntervalEval> findEval(const EvalKey& key) const;
   void storeEval(const EvalKey& key, const IntervalEval& eval) const;
 
-  const graph::Graph* overlay_;
-  const trace::Trace* trace_;
-  PlaybackParams params_;
-  trace::ConditionIndex conditionIndex_;
-  /// Sorted intervals that deviate from baseline (for steady-span jumps).
-  std::vector<std::size_t> deviatingIntervals_;
-  mutable StageTimings stageTimings_;
+  ReplayCore core_;
 
   // Cross-job memos. Mutable + internally synchronized: one const engine
   // is shared across experiment worker threads, and every memoized value

@@ -1,0 +1,195 @@
+// The sweep scheduler shared by the unicast and group experiment runners.
+//
+// A sweep scores every (entity, scheme) job of a config, entity-major.
+// Each job splits into (job, chunk) tasks over fixed chunk geometry --
+// one chunk spanning the trace for the in-memory runners, the container's
+// chunks for the packed ones -- clamped to the entity's active window.
+// Workers claim tasks in index order, replay them through the engine's
+// runChunkPartial over worker-private condition sources, and record into
+// per-task private telemetry; after the join, each job's partials are
+// folded in ascending chunk order and the task telemetry is merged in
+// task order. Results are therefore bit-identical, and metric exports
+// byte-identical, at any thread count.
+#pragma once
+
+#include <algorithm>
+#include <atomic>
+#include <cstdint>
+#include <memory>
+#include <optional>
+#include <string>
+#include <string_view>
+#include <thread>
+#include <utility>
+#include <vector>
+
+#include "routing/scheme.hpp"
+#include "store/reader.hpp"
+#include "telemetry/telemetry.hpp"
+#include "util/wall_clock.hpp"
+
+namespace dg::playback {
+
+/// Half-open interval range a flow (or group) is active over. lastInterval
+/// values beyond the trace end are clamped to it.
+struct FlowWindow {
+  std::size_t firstInterval = 0;
+  std::size_t lastInterval = static_cast<std::size_t>(-1);
+};
+
+using IntervalRange = std::pair<std::size_t, std::size_t>;
+
+/// Clamps and validates per-entity windows against the trace geometry:
+/// one [first, last) pair per entity, {0, intervalCount} for every entity
+/// when `windows` is empty. `entity` ("flow", "group") names the config
+/// fields in errors. Throws std::invalid_argument on a length mismatch or
+/// a window that clamps to empty.
+std::vector<IntervalRange> resolveWindows(
+    const std::vector<FlowWindow>& windows, std::size_t entityCount,
+    std::size_t intervalCount, std::string_view entity);
+
+/// Task geometry of one sweep.
+struct SweepLayout {
+  std::size_t intervalCount = 0;
+  std::size_t chunkIntervals = 0;
+  std::size_t chunkCount = 1;
+  /// Packed trace each worker opens its own condition sources over;
+  /// empty = the engine replays its in-memory trace.
+  std::string packedPath{};
+  /// Worker threads; 0 = hardware concurrency.
+  unsigned threads = 0;
+};
+
+template <typename Result>
+struct SweepOutcome {
+  std::vector<Result> results;  ///< one per job, entity-major
+  std::uint64_t foldNs = 0;     ///< wall time of the partial fold
+  unsigned threads = 0;         ///< workers actually used
+};
+
+/// A packed trace opened for a chunk-parallel sweep: the decoded trace
+/// the engine replays, and the layout of one task per container chunk.
+struct PackedSweep {
+  store::PackedTraceReader reader;
+  trace::Trace trace;
+  SweepLayout layout;
+};
+
+/// Opens `packedPath` for a sweep on `threads` workers; throws
+/// std::invalid_argument, naming `caller`, on an empty trace.
+PackedSweep openPackedSweep(const std::string& packedPath, unsigned threads,
+                            std::string_view caller);
+
+/// Experiment-level series recorded after the sequential telemetry merge:
+/// `<prefix>_jobs_total` and the per-job `<prefix>_job_unavailable_seconds`
+/// summary over each result's `unavailableSeconds` member.
+template <typename Result>
+void recordSweepMetrics(telemetry::Telemetry& telemetry,
+                        const std::string& prefix,
+                        const std::vector<Result>& results,
+                        double Result::*unavailableSeconds) {
+  telemetry.metrics.counter(prefix + "_jobs_total").inc(results.size());
+  telemetry::SummaryMetric& perJob =
+      telemetry.metrics.summary(prefix + "_job_unavailable_seconds");
+  for (const Result& r : results) perJob.observe(r.*unavailableSeconds);
+}
+
+/// Runs the sweep of `engine` (PlaybackEngine or GroupPlaybackEngine)
+/// over entities x schemes; see the file comment for the contract.
+template <typename Engine, typename Entity, typename Kind>
+auto runSweep(const Engine& engine, const std::vector<Entity>& entities,
+              const std::vector<Kind>& schemes,
+              const routing::SchemeParams& schemeParams,
+              const std::vector<IntervalRange>& windows,
+              const SweepLayout& layout, telemetry::Telemetry* telemetry) {
+  using Partial = decltype(engine.runChunkPartial(
+      entities[0], schemes[0], schemeParams, 0, 0, nullptr, nullptr));
+  using Result = decltype(engine.finalizePartial(entities[0], schemes[0],
+                                                 std::declval<Partial>()));
+  const std::size_t schemeCount = schemes.size();
+  const std::size_t jobs = entities.size() * schemeCount;
+  const std::size_t tasks = jobs * layout.chunkCount;
+  std::vector<Partial> partials(tasks);
+
+  SweepOutcome<Result> out;
+  out.threads = layout.threads != 0 ? layout.threads
+                                    : std::thread::hardware_concurrency();
+  out.threads = std::max(
+      1u, std::min<unsigned>(out.threads, static_cast<unsigned>(tasks)));
+
+  // One private Telemetry per task: workers never share an instrument.
+  std::vector<std::unique_ptr<telemetry::Telemetry>> taskTelemetry;
+  if (telemetry != nullptr) {
+    taskTelemetry.resize(tasks);
+    for (auto& t : taskTelemetry)
+      t = std::make_unique<telemetry::Telemetry>(telemetry->trace.capacity());
+  }
+
+  std::atomic<std::size_t> next{0};
+  const auto worker = [&] {
+    // Worker-private feeds over the packed trace, so chunk decode state is
+    // never shared across threads. Two sources because the decision cursor
+    // lags the truth cursor by the view staleness, so near a chunk
+    // boundary they sit in different chunks. None for in-memory replay.
+    std::optional<store::PackedTraceReader> reader;
+    std::optional<store::PackedConditionSource> decision;
+    std::optional<store::PackedConditionSource> truth;
+    if (!layout.packedPath.empty()) {
+      reader.emplace(store::PackedTraceReader::open(layout.packedPath));
+      decision.emplace(*reader);
+      truth.emplace(*reader);
+    }
+    for (;;) {
+      const std::size_t task = next.fetch_add(1);
+      if (task >= tasks) return;
+      const std::size_t job = task / layout.chunkCount;
+      const std::size_t chunkFirst =
+          task % layout.chunkCount * layout.chunkIntervals;
+      // Clamp the chunk to the entity's window; chunks entirely outside
+      // leave their partial empty (merging it is a no-op). Blocks sit at
+      // absolute chunk boundaries, so the clamped fold still reproduces
+      // the single-threaded blocked run over the window, and the skip
+      // depends only on the task index.
+      const auto [windowFirst, windowLast] = windows[job / schemeCount];
+      const std::size_t first = std::max(chunkFirst, windowFirst);
+      const std::size_t last =
+          std::min({chunkFirst + layout.chunkIntervals, layout.intervalCount,
+                    windowLast});
+      if (first >= last) continue;
+      partials[task] = engine.runChunkPartial(
+          entities[job / schemeCount], schemes[job % schemeCount],
+          schemeParams, first, last, decision ? &*decision : nullptr,
+          truth ? &*truth : nullptr,
+          telemetry != nullptr ? taskTelemetry[task].get() : nullptr);
+    }
+  };
+  if (out.threads == 1) {
+    worker();
+  } else {
+    std::vector<std::thread> threads;
+    threads.reserve(out.threads);
+    for (unsigned i = 0; i < out.threads; ++i) threads.emplace_back(worker);
+    for (std::thread& t : threads) t.join();
+  }
+
+  // Deterministic fold: each job's partials in ascending chunk order --
+  // the same merge tree as the single-threaded blocked run.
+  const std::int64_t foldStart = util::nowNanos();
+  out.results.resize(jobs);
+  for (std::size_t job = 0; job < jobs; ++job) {
+    Partial total;
+    for (std::size_t chunk = 0; chunk < layout.chunkCount; ++chunk)
+      total.merge(std::move(partials[job * layout.chunkCount + chunk]));
+    out.results[job] = engine.finalizePartial(entities[job / schemeCount],
+                                              schemes[job % schemeCount],
+                                              std::move(total));
+  }
+  out.foldNs = static_cast<std::uint64_t>(util::nowNanos() - foldStart);
+
+  if (telemetry != nullptr) {
+    for (const auto& taskResult : taskTelemetry) telemetry->merge(*taskResult);
+  }
+  return out;
+}
+
+}  // namespace dg::playback

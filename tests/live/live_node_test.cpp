@@ -301,5 +301,36 @@ TEST(LiveNode, LateFillAfterNackDoesNotRenack) {
   EXPECT_EQ(senderB.sent.size(), 1u);
 }
 
+TEST(LiveNode, MisroutedEdgeMessagesAreDroppedBeforeAnyEdgeLookup) {
+  const graph::Graph g = diamond();
+  RecordingSender sender;
+  live::LiveNode node(1, g, sender);
+  const live::LiveFlow flow = diamondFlow();
+  // Edge ids the wire can carry but the 8-edge overlay lacks. A gap
+  // sequence would NACK on the reverse edge; a retransmission and a NACK
+  // would look up buffers by edge.
+  live::Message gap = arrival(flow, 0xFFFE, 5, util::milliseconds(100));
+  live::Message retransmission = gap;
+  retransmission.type = live::MessageType::Retransmission;
+  live::Message nack = gap;
+  nack.type = live::MessageType::Nack;
+  nack.nackSequences = {1, 2};
+  // A real edge that ends at C, not at B.
+  const live::Message wrongEnd = arrival(flow, 2, 0, util::milliseconds(100));
+  for (const live::Message& m : {gap, retransmission, nack, wrongEnd})
+    node.handleMessage(m, util::milliseconds(110));
+
+  EXPECT_EQ(node.misroutedDropped(), 4u);
+  EXPECT_TRUE(sender.sent.empty());
+  EXPECT_EQ(node.nacksSent(), 0u);
+  EXPECT_TRUE(node.flowStats().empty());
+
+  // A well-routed copy still forwards.
+  node.handleMessage(arrival(flow, 0, 0, util::milliseconds(100)),
+                     util::milliseconds(110));
+  EXPECT_EQ(sender.sent.size(), 1u);
+  EXPECT_EQ(node.misroutedDropped(), 4u);
+}
+
 }  // namespace
 }  // namespace dg

@@ -5,11 +5,17 @@
 // evaluation paths.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "mcast/experiment.hpp"
 #include "mcast/playback.hpp"
+#include "playback/experiment.hpp"
 #include "playback/playback.hpp"
+#include "store/writer.hpp"
 #include "telemetry/telemetry.hpp"
 #include "trace/synth.hpp"
 #include "trace/topology.hpp"
@@ -37,63 +43,148 @@ double mcastMcIntervals(const telemetry::Telemetry& telemetry) {
   return total;
 }
 
+/// Bitwise equality, not tolerance: the group engine must reduce to the
+/// unicast engine exactly when the receiver set is a singleton.
+void expectBitIdentical(const GroupSchemeResult& grouped,
+                        const playback::FlowSchemeResult& unicast,
+                        const std::string& label) {
+  EXPECT_EQ(grouped.unavailabilityAll, unicast.unavailability) << label;
+  EXPECT_EQ(grouped.unavailabilityK, unicast.unavailability) << label;
+  EXPECT_EQ(grouped.unavailableAllSeconds, unicast.unavailableSeconds)
+      << label;
+  EXPECT_EQ(grouped.problematicIntervals, unicast.problematicIntervals)
+      << label;
+  EXPECT_EQ(grouped.averageCost, unicast.averageCost) << label;
+  ASSERT_EQ(grouped.receivers.size(), 1u) << label;
+  EXPECT_EQ(grouped.receivers[0].unavailability, unicast.unavailability)
+      << label;
+  EXPECT_EQ(grouped.receivers[0].averageLatencyUs, unicast.averageLatencyUs)
+      << label;
+  ASSERT_EQ(grouped.problems.size(), unicast.problems.size()) << label;
+  for (std::size_t i = 0; i < grouped.problems.size(); ++i) {
+    EXPECT_EQ(grouped.problems[i].interval, unicast.problems[i].interval)
+        << label;
+    EXPECT_EQ(grouped.problems[i].missProbability,
+              unicast.problems[i].missProbability)
+        << label;
+  }
+}
+
+// Pinned through three inputs that share the replay core and the sweep
+// scheduler: whole-trace run(); chunk partials starting past interval 0
+// (warm-up roll-forward, accumulation blocks, ascending fold); and the
+// packed experiment runners over one packed trace.
 TEST(GroupPlayback, SingleReceiverGroupBitIdenticalToUnicastForEveryScheme) {
   const trace::Topology topology = trace::Topology::ltn12();
   const trace::SyntheticTrace synth = lossyTrace(topology.graph());
+  const std::size_t intervals = synth.trace.intervalCount();
+  const std::size_t block = 360;  // one hour; six blocks over the trace
 
   playback::PlaybackParams unicastParams;
   unicastParams.mcSamples = 200;
-  const playback::PlaybackEngine unicastEngine(topology.graph(), synth.trace,
-                                               unicastParams);
-
   GroupPlaybackParams groupParams;
   groupParams.base = unicastParams;
-  const GroupPlaybackEngine groupEngine(topology.graph(), synth.trace,
-                                        groupParams);
 
   const routing::Flow flow{topology.at("NYC"), topology.at("SJC")};
   Group group;
   group.source = flow.source;
   group.receivers = {flow.destination};
 
-  bool sawMonteCarlo = false;
-  for (const GroupSchemeKind kind : allGroupSchemeKinds()) {
-    const routing::SchemeKind unicastKind = unicastEquivalent(kind);
-    const playback::FlowSchemeResult unicast =
-        unicastEngine.run(flow, unicastKind, routing::SchemeParams{});
-    telemetry::Telemetry telemetry;
-    const GroupSchemeResult grouped = groupEngine.run(
-        group, kind, routing::SchemeParams{}, &telemetry);
-    if (mcastMcIntervals(telemetry) > 0) sawMonteCarlo = true;
+  {  // Whole-trace run().
+    const playback::PlaybackEngine unicastEngine(topology.graph(),
+                                                 synth.trace, unicastParams);
+    const GroupPlaybackEngine groupEngine(topology.graph(), synth.trace,
+                                          groupParams);
+    bool sawMonteCarlo = false;
+    for (const GroupSchemeKind kind : allGroupSchemeKinds()) {
+      const playback::FlowSchemeResult unicast = unicastEngine.run(
+          flow, unicastEquivalent(kind), routing::SchemeParams{});
+      telemetry::Telemetry telemetry;
+      const GroupSchemeResult grouped = groupEngine.run(
+          group, kind, routing::SchemeParams{}, &telemetry);
+      if (mcastMcIntervals(telemetry) > 0) sawMonteCarlo = true;
+      expectBitIdentical(grouped, unicast,
+                         std::string("run ") +
+                             std::string(groupSchemeName(kind)));
+    }
+    EXPECT_TRUE(sawMonteCarlo)
+        << "trace never exercised the Monte-Carlo path; the bit-identity "
+           "claim was only tested on deterministic intervals";
+  }
 
-    // Bitwise equality, not tolerance: the group engine must reduce to
-    // the unicast engine exactly when the receiver set is a singleton.
-    EXPECT_EQ(grouped.unavailabilityAll, unicast.unavailability)
-        << groupSchemeName(kind);
-    EXPECT_EQ(grouped.unavailabilityK, unicast.unavailability)
-        << groupSchemeName(kind);
-    EXPECT_EQ(grouped.unavailableAllSeconds, unicast.unavailableSeconds)
-        << groupSchemeName(kind);
-    EXPECT_EQ(grouped.problematicIntervals, unicast.problematicIntervals)
-        << groupSchemeName(kind);
-    EXPECT_EQ(grouped.averageCost, unicast.averageCost)
-        << groupSchemeName(kind);
-    ASSERT_EQ(grouped.receivers.size(), 1u);
-    EXPECT_EQ(grouped.receivers[0].unavailability, unicast.unavailability)
-        << groupSchemeName(kind);
-    EXPECT_EQ(grouped.receivers[0].averageLatencyUs, unicast.averageLatencyUs)
-        << groupSchemeName(kind);
-    ASSERT_EQ(grouped.problems.size(), unicast.problems.size())
-        << groupSchemeName(kind);
-    for (std::size_t i = 0; i < grouped.problems.size(); ++i) {
-      EXPECT_EQ(grouped.problems[i].interval, unicast.problems[i].interval);
-      EXPECT_EQ(grouped.problems[i].missProbability,
-                unicast.problems[i].missProbability);
+  {  // Chunk partials over [block, intervals), folded and finalized.
+    playback::PlaybackParams blockedParams = unicastParams;
+    blockedParams.accumBlockIntervals = block;
+    GroupPlaybackParams blockedGroupParams;
+    blockedGroupParams.base = blockedParams;
+    const playback::PlaybackEngine unicastEngine(topology.graph(),
+                                                 synth.trace, blockedParams);
+    const GroupPlaybackEngine groupEngine(topology.graph(), synth.trace,
+                                          blockedGroupParams);
+    bool sawMonteCarlo = false;
+    for (const GroupSchemeKind kind : allGroupSchemeKinds()) {
+      const routing::SchemeKind unicastKind = unicastEquivalent(kind);
+      playback::RunPartial unicastTotal;
+      GroupRunPartial groupTotal;
+      telemetry::Telemetry telemetry;
+      for (std::size_t first = block; first < intervals; first += block) {
+        const std::size_t last = std::min(first + block, intervals);
+        unicastTotal.merge(unicastEngine.runChunkPartial(
+            flow, unicastKind, routing::SchemeParams{}, first, last, nullptr,
+            nullptr));
+        groupTotal.merge(groupEngine.runChunkPartial(
+            group, kind, routing::SchemeParams{}, first, last, nullptr,
+            nullptr, &telemetry));
+      }
+      if (mcastMcIntervals(telemetry) > 0) sawMonteCarlo = true;
+      expectBitIdentical(
+          groupEngine.finalizePartial(group, kind, std::move(groupTotal)),
+          unicastEngine.finalizePartial(flow, unicastKind,
+                                        std::move(unicastTotal)),
+          std::string("chunks ") + std::string(groupSchemeName(kind)));
+    }
+    EXPECT_TRUE(sawMonteCarlo)
+        << "chunk partials never exercised the Monte-Carlo path";
+  }
+
+  {  // The packed experiment runners over the same packed trace.
+    const std::string path =
+        (std::filesystem::path(::testing::TempDir()) /
+         "single_receiver_identity.dgtrace")
+            .string();
+    store::WriterOptions options;
+    options.chunkIntervals = block;
+    store::packTrace(synth.trace, path, options);
+
+    playback::ExperimentConfig unicastConfig;
+    unicastConfig.flows = {flow};
+    unicastConfig.schemes.clear();
+    for (const GroupSchemeKind kind : allGroupSchemeKinds())
+      unicastConfig.schemes.push_back(unicastEquivalent(kind));
+    unicastConfig.playback = unicastParams;
+    unicastConfig.threads = 2;
+    GroupExperimentConfig groupConfig;
+    groupConfig.groups = {group};
+    groupConfig.playback = groupParams;
+    groupConfig.threads = 2;
+
+    const playback::ExperimentResult unicast =
+        playback::runPackedExperiment(topology.graph(), path, unicastConfig);
+    telemetry::Telemetry telemetry;
+    const GroupExperimentResult grouped = runPackedGroupExperiment(
+        topology.graph(), path, groupConfig, &telemetry);
+    EXPECT_GT(mcastMcIntervals(telemetry), 0.0)
+        << "packed sweep never exercised the Monte-Carlo path";
+    const std::size_t schemeCount = groupConfig.schemes.size();
+    ASSERT_EQ(unicastConfig.schemes.size(), schemeCount);
+    for (std::size_t s = 0; s < schemeCount; ++s) {
+      expectBitIdentical(grouped.at(0, s, schemeCount),
+                         unicast.at(0, s, schemeCount),
+                         std::string("packed ") +
+                             std::string(groupSchemeName(
+                                 groupConfig.schemes[s])));
     }
   }
-  EXPECT_TRUE(sawMonteCarlo)
-      << "trace never exercised the Monte-Carlo path; the bit-identity "
-         "claim was only tested on deterministic intervals";
 }
 
 TEST(GroupPlayback, MultiReceiverInvariantsHold) {
