@@ -5,8 +5,11 @@
 namespace dg::core {
 
 OverlayNode::OverlayNode(graph::NodeId id, net::SimulatedNetwork& network,
-                         FlowDirectory& directory, OverlayNodeConfig config)
-    : id_(id), network_(&network), directory_(&directory), config_(config) {}
+                         FlowDirectory& directory, ForwardingConfig config)
+    : id_(id),
+      network_(&network),
+      directory_(&directory),
+      core_(network.overlay(), config) {}
 
 void OverlayNode::setTelemetry(telemetry::Telemetry* telemetry) {
   telemetry_ = telemetry;
@@ -38,9 +41,7 @@ void OverlayNode::setCrashed(bool crashed) {
   if (crashed) return;
   // Restart: soft state is gone. The link-state epoch deliberately
   // survives so peers' newest-epoch dedup accepts post-restart floods.
-  seen_.clear();
-  receive_.clear();
-  sendBuffers_.clear();
+  core_.reset();
   if (linkState_) {
     LinkStateState& state = *linkState_;
     for (std::size_t e = 0; e < state.baseline.size(); ++e) {
@@ -65,7 +66,7 @@ void OverlayNode::handlePacket(graph::EdgeId arrivalEdge,
       handleData(arrivalEdge, packet);
       return;
     case net::Packet::Type::Nack:
-      handleNack(arrivalEdge, packet);
+      core_.handleNack(arrivalEdge, packet, *this);
       return;
     case net::Packet::Type::Probe:
       handleProbe(arrivalEdge, packet);
@@ -86,7 +87,7 @@ void OverlayNode::originate(const FlowContext& context,
   packet.sequence = sequence;
   packet.originTime = originTime;
   packet.graphMask = context.graphMask;
-  seen_.try_emplace(context.id).first->second.insert(sequence);
+  core_.originated(packet);
   forward(context, packet, graph::kInvalidEdge);
 }
 
@@ -95,20 +96,10 @@ void OverlayNode::handleData(graph::EdgeId arrivalEdge,
   const FlowContext* context = directory_->flowContext(packet.flow);
   if (context == nullptr) return;
 
-  // Per-hop recovery bookkeeping runs for every copy, even duplicates:
-  // link sequencing is a property of the link, not of the flood.
-  if (packet.type == net::Packet::Type::Data && config_.recoveryEnabled) {
-    noteSequenceForRecovery(arrivalEdge, packet);
-  }
-
-  // First-copy suppression.
-  auto& seen = seen_.try_emplace(packet.flow).first->second;
-  if (!seen.insert(packet.sequence)) {
-    ++duplicatesDropped_;
+  if (!core_.admit(arrivalEdge, packet, *this)) {
     if (duplicatesCounter_ != nullptr) duplicatesCounter_->inc();
     return;
   }
-
   if (id_ == context->flow.destination) {
     directory_->onDelivered(packet.flow, packet);
     // A destination can still have member out-edges (e.g. flooding); fall
@@ -120,38 +111,37 @@ void OverlayNode::handleData(graph::EdgeId arrivalEdge,
 void OverlayNode::forward(const FlowContext& context,
                           const net::Packet& packet,
                           graph::EdgeId arrivalEdge) {
-  const bool stamped = packet.graphMask != 0;
-  if (!stamped && context.activeGraph == nullptr) return;
-  const util::SimTime age = network_->simulator().now() - packet.originTime;
-  if (age >= context.deadline) {
-    ++expiredDropped_;
-    if (expiredCounter_ != nullptr) expiredCounter_->inc();
-    return;  // cannot be useful downstream anymore
-  }
-  const graph::Graph& overlay = network_->overlay();
-  const graph::NodeId arrivalNeighbor =
-      arrivalEdge == graph::kInvalidEdge ? graph::kInvalidNode
-                                         : overlay.edge(arrivalEdge).from;
   // Member out-edges come either from the stamped mask (distributed
   // mode) or from the locally known active graph (centralized mode).
-  const auto forwardOn = [&](graph::EdgeId out) {
-    const graph::NodeId to = overlay.edge(out).to;
-    if (to == arrivalNeighbor) return;  // no-echo rule
-    net::Packet copy = packet;
-    copy.type = net::Packet::Type::Data;
-    copy.nackSequences.clear();
-    if (config_.recoveryEnabled) bufferForRetransmit(out, copy);
-    network_->transmit(out, std::move(copy));
-  };
-  if (stamped) {
-    for (const graph::EdgeId out : overlay.outEdges(id_)) {
-      if (packet.graphMask & (std::uint64_t{1} << out)) forwardOn(out);
-    }
-  } else {
-    for (const graph::EdgeId out : context.activeGraph->outEdges(id_)) {
-      forwardOn(out);
-    }
+  const bool stamped = packet.graphMask != 0;
+  if (!stamped && context.activeGraph == nullptr) return;
+  const auto outEdges = stamped ? network_->overlay().outEdges(id_)
+                                : context.activeGraph->outEdges(id_);
+  if (!core_.forward(packet, arrivalEdge, network_->simulator().now(),
+                     context.deadline, outEdges, *this) &&
+      expiredCounter_ != nullptr) {
+    expiredCounter_->inc();
   }
+}
+
+// dgcheck: cold: simulator sink; every simulated transmission schedules a delivery event by design, and the live driver is the measured forwarding path
+void OverlayNode::send(graph::EdgeId edge, net::Packet&& packet) {
+  if (telemetry_ != nullptr && packet.type == net::Packet::Type::Nack) {
+    nacksCounter_->inc();
+    // Traced against the data edge the gap was seen on.
+    telemetry_->trace.record(network_->simulator().now(),
+                             telemetry::TraceEventKind::NackSent, packet.flow,
+                             id_, *network_->overlay().reverseEdge(edge),
+                             static_cast<double>(packet.nackSequences.size()));
+  } else if (telemetry_ != nullptr &&
+             packet.type == net::Packet::Type::Retransmission) {
+    retransmissionsCounter_->inc();
+    telemetry_->trace.record(network_->simulator().now(),
+                             telemetry::TraceEventKind::Retransmission,
+                             packet.flow, id_, edge,
+                             static_cast<double>(packet.sequence));
+  }
+  network_->transmit(edge, std::move(packet));
 }
 
 void OverlayNode::enableLinkState(
@@ -258,79 +248,6 @@ void OverlayNode::emitLinkState() {
 
 routing::NetworkView OverlayNode::view() const {
   return routing::NetworkView(linkState_->lossView, linkState_->latencyView);
-}
-
-void OverlayNode::noteSequenceForRecovery(graph::EdgeId arrivalEdge,
-                                          const net::Packet& packet) {
-  ReceiveState& state = receive_[key(arrivalEdge, packet.flow)];
-  if (packet.sequence < state.expected) return;  // late fill, all good
-  if (packet.sequence == state.expected) {
-    state.expected = packet.sequence + 1;
-    return;
-  }
-  // Gap: request every missing sequence exactly once.
-  net::Packet nack;
-  nack.type = net::Packet::Type::Nack;
-  nack.flow = packet.flow;
-  nack.sequence = packet.sequence;
-  nack.originTime = packet.originTime;
-  for (net::SequenceNumber missing = state.expected;
-       missing < packet.sequence; ++missing) {
-    if (state.requested.insert(missing)) {
-      nack.nackSequences.push_back(missing);
-    }
-  }
-  state.expected = packet.sequence + 1;
-  if (nack.nackSequences.empty()) return;
-  const auto reverse = network_->overlay().reverseEdge(arrivalEdge);
-  if (!reverse) return;  // no reverse link: recovery impossible
-  ++nacksSent_;
-  if (telemetry_ != nullptr) {
-    nacksCounter_->inc();
-    telemetry_->trace.record(network_->simulator().now(),
-                             telemetry::TraceEventKind::NackSent,
-                             packet.flow, id_, arrivalEdge,
-                             static_cast<double>(nack.nackSequences.size()));
-  }
-  network_->transmit(*reverse, std::move(nack));
-}
-
-void OverlayNode::handleNack(graph::EdgeId arrivalEdge,
-                             const net::Packet& packet) {
-  // The NACK arrived on the reverse of the data edge we sent on.
-  const auto dataEdge = network_->overlay().reverseEdge(arrivalEdge);
-  if (!dataEdge) return;
-  const auto it = sendBuffers_.find(key(*dataEdge, packet.flow));
-  if (it == sendBuffers_.end()) return;
-  // Linear scan: the buffer is small and recovered packets re-enter it
-  // out of sequence order, so it is not sorted.
-  const auto& buffer = it->second.packets;
-  for (const net::SequenceNumber seq : packet.nackSequences) {
-    const auto found =
-        std::find_if(buffer.begin(), buffer.end(),
-                     [seq](const net::Packet& p) { return p.sequence == seq; });
-    if (found == buffer.end()) continue;
-    net::Packet retransmission = *found;
-    retransmission.type = net::Packet::Type::Retransmission;
-    ++retransmissionsSent_;
-    if (telemetry_ != nullptr) {
-      retransmissionsCounter_->inc();
-      telemetry_->trace.record(network_->simulator().now(),
-                               telemetry::TraceEventKind::Retransmission,
-                               packet.flow, id_, *dataEdge,
-                               static_cast<double>(seq));
-    }
-    network_->transmit(*dataEdge, std::move(retransmission));
-  }
-}
-
-void OverlayNode::bufferForRetransmit(graph::EdgeId outEdge,
-                                      const net::Packet& packet) {
-  SendBuffer& buffer = sendBuffers_[key(outEdge, packet.flow)];
-  buffer.packets.push_back(packet);  // dgcheck: ok(R5): retransmit ring reuses deque capacity; bounded by sendBufferPackets and amortized to zero
-  while (buffer.packets.size() > config_.sendBufferPackets) {
-    buffer.packets.pop_front();
-  }
 }
 
 }  // namespace dg::core

@@ -1,35 +1,27 @@
-// An overlay daemon: dissemination-graph forwarding with duplicate
-// suppression, plus the per-hop real-time recovery protocol.
+// An overlay daemon inside the event simulator: the simulator's driver
+// of the shared forwarding core (core/forwarding_core.hpp), which owns
+// the forwarding and per-hop recovery rules.
 //
-// Forwarding rule (the dissemination-graph semantics): the first copy of
-// a packet a node receives is forwarded on every member out-edge of the
-// flow's active graph, except back to the node it arrived from; later
-// copies are dropped. Recovery rule: data packets carry per-(link, flow)
-// sequence numbers; a receiver that observes a gap immediately NACKs the
-// missing sequences on the reverse link, once per sequence, and the
-// sender retransmits from a short buffer. A packet whose age already
-// exceeds the flow deadline is not forwarded further (it can no longer be
-// useful, only costly).
+// What this driver adds around the core: flow metadata comes from the
+// FlowDirectory, and destinations report deliveries to it; unstamped
+// packets follow the locally known active graph (centralized mode);
+// distributed link-state monitoring; crash/restart; and the node's
+// telemetry counters and trace events.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <unordered_map>
 
 #include "core/flow_context.hpp"
-#include "core/sequence_window.hpp"
+#include "core/forwarding_core.hpp"
 #include "net/network.hpp"
 #include "routing/network_view.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace dg::core {
 
-struct OverlayNodeConfig {
-  bool recoveryEnabled = true;
-  /// Retransmission buffer per (out-edge, flow), in packets.
-  std::size_t sendBufferPackets = 64;
-};
+/// The node is configured by its forwarding rules alone.
+using OverlayNodeConfig = ForwardingConfig;
 
 /// Distributed monitoring (enabled per node via enableLinkState): the
 /// node measures its incoming links from the probe stream, periodically
@@ -48,7 +40,7 @@ struct LinkStateConfig {
 class OverlayNode {
  public:
   OverlayNode(graph::NodeId id, net::SimulatedNetwork& network,
-              FlowDirectory& directory, OverlayNodeConfig config);
+              FlowDirectory& directory, ForwardingConfig config);
 
   graph::NodeId id() const { return id_; }
 
@@ -94,10 +86,12 @@ class OverlayNode {
     return linkState_ ? linkState_->updatesAccepted : 0;
   }
 
-  std::uint64_t duplicatesDropped() const { return duplicatesDropped_; }
-  std::uint64_t expiredDropped() const { return expiredDropped_; }
-  std::uint64_t nacksSent() const { return nacksSent_; }
-  std::uint64_t retransmissionsSent() const { return retransmissionsSent_; }
+  std::uint64_t duplicatesDropped() const { return core_.duplicatesDropped(); }
+  std::uint64_t expiredDropped() const { return core_.expiredDropped(); }
+  std::uint64_t nacksSent() const { return core_.nacksSent(); }
+  std::uint64_t retransmissionsSent() const {
+    return core_.retransmissionsSent();
+  }
 
   /// Attaches telemetry (nullable): per-node counters for duplicate and
   /// expired drops, NACKs, retransmissions and link-state activity, plus
@@ -106,39 +100,21 @@ class OverlayNode {
   void setTelemetry(telemetry::Telemetry* telemetry);
 
  private:
-  struct ReceiveState {
-    net::SequenceNumber expected = 0;
-    SequenceWindow requested{1024};  ///< each gap is NACKed at most once
-  };
-  struct SendBuffer {
-    std::deque<net::Packet> packets;  // ascending sequence
-  };
-  /// Key for per-(edge, flow) maps.
-  static std::uint64_t key(graph::EdgeId edge, net::FlowId flow) {
-    return (static_cast<std::uint64_t>(edge) << 32) | flow;
-  }
+  friend class ForwardingCore<net::Packet, OverlayNode>;
 
   void forward(const FlowContext& context, const net::Packet& packet,
                graph::EdgeId arrivalEdge);
   void handleData(graph::EdgeId arrivalEdge, const net::Packet& packet);
-  void handleNack(graph::EdgeId arrivalEdge, const net::Packet& packet);
   void handleProbe(graph::EdgeId arrivalEdge, const net::Packet& packet);
   void handleLinkState(graph::EdgeId arrivalEdge, const net::Packet& packet);
-  void noteSequenceForRecovery(graph::EdgeId arrivalEdge,
-                               const net::Packet& packet);
-  void bufferForRetransmit(graph::EdgeId outEdge, const net::Packet& packet);
+
+  /// ForwardingCore sink: traces recovery traffic, then transmits.
+  void send(graph::EdgeId edge, net::Packet&& packet);
 
   graph::NodeId id_;
   net::SimulatedNetwork* network_;
   FlowDirectory* directory_;
-  OverlayNodeConfig config_;
-
-  /// First-copy suppression per flow (bounded sliding window).
-  std::unordered_map<net::FlowId, SequenceWindow> seen_;
-  /// Per (in-edge, flow) gap detection state.
-  std::unordered_map<std::uint64_t, ReceiveState> receive_;
-  /// Per (out-edge, flow) retransmission buffers.
-  std::unordered_map<std::uint64_t, SendBuffer> sendBuffers_;
+  ForwardingCore<net::Packet, OverlayNode> core_;
 
   /// Distributed monitoring state (absent unless enabled).
   struct LinkStateState {
@@ -159,10 +135,6 @@ class OverlayNode {
 
   bool crashed_ = false;
   std::uint64_t crashDropped_ = 0;
-  std::uint64_t duplicatesDropped_ = 0;
-  std::uint64_t expiredDropped_ = 0;
-  std::uint64_t nacksSent_ = 0;
-  std::uint64_t retransmissionsSent_ = 0;
 
   telemetry::Telemetry* telemetry_ = nullptr;
   telemetry::Counter* duplicatesCounter_ = nullptr;

@@ -12,8 +12,7 @@ Daemon::Daemon(EventLoop& loop, const graph::Graph& overlay,
       config_(config),
       socket_(config.port),
       membership_(config.node, config.membership),
-      node_(config.node, overlay, *this,
-            LiveNodeConfig{config.recoveryEnabled, config.sendBufferPackets}) {
+      node_(config.node, overlay, *this, config.forwarding) {
   onShutdown_ = [this] { loop_->stop(); };
   membership_.onDiscover([this](const PeerInfo& peer) {
     if (telemetry_ != nullptr) {
@@ -245,6 +244,7 @@ void Daemon::exportTelemetry(telemetry::Telemetry& telemetry) const {
   publish("dg_live_impairment_drops_total", c.impairmentDrops);
   publish("dg_live_impairment_delays_total", c.impairmentDelays);
   publish("dg_live_duplicates_dropped_total", c.duplicatesDropped);
+  publish("dg_live_misrouted_dropped_total", node_.misroutedDropped());
   publish("dg_live_expired_dropped_total", c.expiredDropped);
   publish("dg_live_nacks_sent_total", c.nacksSent);
   publish("dg_live_retransmissions_sent_total", c.retransmissionsSent);

@@ -42,8 +42,8 @@ struct DaemonConfig {
   std::uint16_t coordinatorPort = 0;
   /// Bumped across restarts so peers can tell a restart from lag.
   std::uint64_t incarnation = 1;
-  bool recoveryEnabled = false;
-  std::size_t sendBufferPackets = 64;
+  /// The node's forwarding rules (recovery is off unless asked for).
+  core::ForwardingConfig forwarding{.recoveryEnabled = false};
   MembershipConfig membership;
   /// Origination cadence of this daemon's configured flows.
   util::SimTime packetInterval = util::milliseconds(5);
@@ -52,7 +52,8 @@ struct DaemonConfig {
 class Daemon : public LiveNodeSender {
  public:
   /// `overlay` must outlive the daemon. Binds the socket immediately;
-  /// throws std::system_error when the port is taken.
+  /// throws std::system_error when the port is taken, and
+  /// std::length_error for an overlay of more than 64 directed edges.
   Daemon(EventLoop& loop, const graph::Graph& overlay, DaemonConfig config);
 
   graph::NodeId nodeId() const { return config_.node; }

@@ -317,7 +317,7 @@ FleetResult runFleetInProcess(const FleetParams& params,
     config.port = 0;  // ephemeral
     config.coordinatorPort = coordinator.port();
     config.incarnation = 1;
-    config.recoveryEnabled = params.recoveryEnabled;
+    config.forwarding.recoveryEnabled = params.recoveryEnabled;
     config.membership = params.membership;
     config.packetInterval = params.packetInterval;
     auto daemon = std::make_unique<Daemon>(loop, overlay, config);

@@ -1,12 +1,22 @@
 #include "live/live_node.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace dg::live {
 
 LiveNode::LiveNode(graph::NodeId id, const graph::Graph& overlay,
-                   LiveNodeSender& sender, LiveNodeConfig config)
-    : id_(id), overlay_(&overlay), sender_(&sender), config_(config) {}
+                   LiveNodeSender& sender, core::ForwardingConfig config)
+    : id_(id),
+      overlay_(&overlay),
+      sender_(&sender),
+      core_(overlay, config, kMaxNackSequences) {
+  if (overlay.edgeCount() > 64) {
+    throw std::length_error(
+        "LiveNode: stamped forwarding supports at most 64 directed overlay "
+        "edges");
+  }
+}
 
 FlowStatsEntry& LiveNode::statsFor(net::FlowId flow) {
   FlowStatsEntry& entry = flowStats_[flow];
@@ -27,8 +37,10 @@ void LiveNode::originate(const LiveFlow& flow, net::SequenceNumber sequence,
   message.source = flow.source;
   message.destination = flow.destination;
   ++statsFor(flow.id).sent;
-  seen_.try_emplace(flow.id).first->second.insert(sequence);
-  forward(message, graph::kInvalidEdge, now);
+  core_.originated(message);
+  if (message.graphMask == 0) return;  // live mode is always stamped
+  core_.forward(message, graph::kInvalidEdge, now, message.deadline,
+                overlay_->outEdges(id_), *this);
 }
 
 void LiveNode::handleMessage(const Message& message, util::SimTime now) {
@@ -45,27 +57,14 @@ void LiveNode::handleMessage(const Message& message, util::SimTime now) {
     return;
   }
   if (message.type == MessageType::Nack) {
-    handleNack(message, now);
+    core_.handleNack(message.edge, message, *this);
   } else {
     handleData(message, now);
   }
 }
 
 void LiveNode::handleData(const Message& message, util::SimTime now) {
-  // Per-hop recovery bookkeeping runs for every copy, even duplicates:
-  // link sequencing is a property of the link, not of the flood.
-  if (message.type == MessageType::Data && config_.recoveryEnabled) {
-    noteSequenceForRecovery(message, now);
-  }
-
-  // First-copy suppression.
-  auto& seen = seen_.try_emplace(message.flow).first->second;
-  if (!seen.insert(message.sequence)) {
-    ++duplicatesDropped_;
-    return;
-  }
-  if (message.type == MessageType::Retransmission) ++nackRecoveries_;
-
+  if (!core_.admit(message.edge, message, *this)) return;
   if (id_ == message.destination) {
     FlowStatsEntry& stats = statsFor(message.flow);
     const util::SimTime latency = now - message.originTime;
@@ -79,97 +78,18 @@ void LiveNode::handleData(const Message& message, util::SimTime now) {
     // A destination can still have member out-edges (e.g. flooding); fall
     // through so the dissemination semantics stay uniform.
   }
-  forward(message, message.edge, now);
-}
-
-// dgcheck: hot
-void LiveNode::forward(const Message& message, graph::EdgeId arrivalEdge,
-                       util::SimTime now) {
   if (message.graphMask == 0) return;  // live mode is always stamped
-  const util::SimTime age = now - message.originTime;
-  if (age >= message.deadline) {
-    ++expiredDropped_;
-    return;  // cannot be useful downstream anymore
-  }
-  const graph::NodeId arrivalNeighbor =
-      arrivalEdge == graph::kInvalidEdge ? graph::kInvalidNode
-                                         : overlay_->edge(arrivalEdge).from;
-  for (const graph::EdgeId out : overlay_->outEdges(id_)) {
-    if ((message.graphMask & (std::uint64_t{1} << out)) == 0) continue;
-    if (overlay_->edge(out).to == arrivalNeighbor) continue;  // no echo
-    Message copy = message;
-    copy.type = MessageType::Data;
-    copy.sender = id_;
-    copy.edge = out;
-    copy.nackSequences.clear();
-    if (config_.recoveryEnabled) bufferForRetransmit(out, copy);
+  core_.forward(message, message.edge, now, message.deadline,
+                overlay_->outEdges(id_), *this);
+}
+
+void LiveNode::send(graph::EdgeId edge, Message&& message) {
+  message.sender = id_;
+  message.edge = edge;
+  if (message.type != MessageType::Nack) {
     ++statsFor(message.flow).transmissions;
-    sender_->sendOnEdge(out, copy);
   }
-}
-
-void LiveNode::noteSequenceForRecovery(const Message& message,
-                                       util::SimTime /*now*/) {
-  ReceiveState& state = receive_[key(message.edge, message.flow)];
-  if (message.sequence < state.expected) return;  // late fill, all good
-  if (message.sequence == state.expected) {
-    state.expected = message.sequence + 1;
-    return;
-  }
-  // Gap: request every missing sequence exactly once. The wire caps a
-  // Nack at kMaxNackSequences; sequences beyond the cap stay unmarked in
-  // `requested` so a later gap can still claim them.
-  Message nack;
-  nack.type = MessageType::Nack;
-  nack.sender = id_;
-  nack.flow = message.flow;
-  for (net::SequenceNumber missing = state.expected;
-       missing < message.sequence; ++missing) {
-    if (nack.nackSequences.size() >= kMaxNackSequences) break;
-    if (state.requested.insert(missing)) {
-      nack.nackSequences.push_back(missing);
-    }
-  }
-  state.expected = message.sequence + 1;
-  if (nack.nackSequences.empty()) return;
-  const auto reverse = overlay_->reverseEdge(message.edge);
-  if (!reverse) return;  // no reverse link: recovery impossible
-  nack.edge = *reverse;
-  ++nacksSent_;
-  sender_->sendOnEdge(*reverse, nack);
-}
-
-void LiveNode::handleNack(const Message& message, util::SimTime /*now*/) {
-  // The NACK arrived on the reverse of the data edge we sent on.
-  const auto dataEdge = overlay_->reverseEdge(message.edge);
-  if (!dataEdge) return;
-  const auto it = sendBuffers_.find(key(*dataEdge, message.flow));
-  if (it == sendBuffers_.end()) return;
-  // Linear scan: the buffer is small and recovered packets re-enter it
-  // out of sequence order, so it is not sorted.
-  const auto& buffer = it->second.packets;
-  for (const net::SequenceNumber seq : message.nackSequences) {
-    const auto found = std::find_if(
-        buffer.begin(), buffer.end(),
-        [seq](const Message& m) { return m.sequence == seq; });
-    if (found == buffer.end()) continue;
-    Message retransmission = *found;
-    retransmission.type = MessageType::Retransmission;
-    retransmission.sender = id_;
-    retransmission.edge = *dataEdge;
-    ++retransmissionsSent_;
-    ++statsFor(message.flow).transmissions;
-    sender_->sendOnEdge(*dataEdge, retransmission);
-  }
-}
-
-void LiveNode::bufferForRetransmit(graph::EdgeId outEdge,
-                                   const Message& message) {
-  SendBuffer& buffer = sendBuffers_[key(outEdge, message.flow)];
-  buffer.packets.push_back(message);  // dgcheck: ok(R5): retransmit ring reuses deque capacity; bounded by the recovery window and amortized to zero
-  while (buffer.packets.size() > config_.sendBufferPackets) {
-    buffer.packets.pop_front();
-  }
+  sender_->sendOnEdge(edge, message);
 }
 
 }  // namespace dg::live

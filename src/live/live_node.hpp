@@ -1,26 +1,24 @@
-// The live overlay forwarding engine: dissemination-graph flooding with
-// duplicate suppression plus the per-hop NACK recovery protocol, ported
-// from core::OverlayNode onto real messages and a wall-clock timeline.
+// The live daemon's driver of the shared forwarding core
+// (core/forwarding_core.hpp): the same forwarding and per-hop recovery
+// rules the simulator runs, on live::Message datagrams and a wall-clock
+// timeline.
 //
-// Differences from the simulated node are strictly mechanical:
-//   - packets are live::Message datagrams instead of net::Packet, and
-//     leave through a LiveNodeSender instead of net::SimulatedNetwork;
+// What this driver adds around the core:
+//   - messages leave through a LiveNodeSender, stamped with the per-hop
+//     header (`sender`, `edge`);
 //   - time is an explicit `now` argument (the daemon passes soak time);
 //   - flow metadata (deadline, endpoints, graph mask) travels in-band,
-//     so intermediate nodes need no flow directory -- only stamped
-//     (distributed) mode exists live;
-//   - state lives in std::map (src/live/ is dglint ordered scope).
-// The forwarding rule, duplicate suppression, expiry check, no-echo
-// rule, gap detection and retransmission buffering are line-for-line
-// the simulator's semantics -- that is what makes the live-vs-model
-// differential meaningful.
+//     so nodes need no flow directory -- only stamped (distributed) mode
+//     exists live, which limits overlays to 64 directed edges;
+//   - a NACK is capped at the wire's kMaxNackSequences;
+//   - edge messages on an edge that does not end here are dropped;
+//   - per-flow delivery accounting (flowStats()).
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 
-#include "core/sequence_window.hpp"
+#include "core/forwarding_core.hpp"
 #include "graph/graph.hpp"
 #include "live/wire.hpp"
 #include "net/packet.hpp"
@@ -48,16 +46,15 @@ struct LiveFlow {
   std::uint64_t graphMask = 0;
 };
 
-struct LiveNodeConfig {
-  bool recoveryEnabled = true;
-  /// Retransmission buffer per (out-edge, flow), in packets.
-  std::size_t sendBufferPackets = 64;
-};
+/// The node is configured by its forwarding rules alone.
+using LiveNodeConfig = core::ForwardingConfig;
 
 class LiveNode {
  public:
+  /// Throws std::length_error when the overlay has more than 64 directed
+  /// edges: graph masks cannot name the rest.
   LiveNode(graph::NodeId id, const graph::Graph& overlay,
-           LiveNodeSender& sender, LiveNodeConfig config = {});
+           LiveNodeSender& sender, core::ForwardingConfig config = {});
 
   graph::NodeId id() const { return id_; }
 
@@ -78,52 +75,33 @@ class LiveNode {
     return flowStats_;
   }
 
-  std::uint64_t duplicatesDropped() const { return duplicatesDropped_; }
+  std::uint64_t duplicatesDropped() const { return core_.duplicatesDropped(); }
   /// Edge messages dropped for an out-of-range edge id or an edge that
   /// does not end at this node.
   std::uint64_t misroutedDropped() const { return misroutedDropped_; }
-  std::uint64_t expiredDropped() const { return expiredDropped_; }
-  std::uint64_t nacksSent() const { return nacksSent_; }
-  std::uint64_t retransmissionsSent() const { return retransmissionsSent_; }
+  std::uint64_t expiredDropped() const { return core_.expiredDropped(); }
+  std::uint64_t nacksSent() const { return core_.nacksSent(); }
+  std::uint64_t retransmissionsSent() const {
+    return core_.retransmissionsSent();
+  }
   /// Retransmissions that arrived as the first (useful) copy.
-  std::uint64_t nackRecoveries() const { return nackRecoveries_; }
+  std::uint64_t nackRecoveries() const { return core_.nackRecoveries(); }
 
  private:
-  struct ReceiveState {
-    net::SequenceNumber expected = 0;
-    core::SequenceWindow requested{1024};  ///< each gap NACKed at most once
-  };
-  struct SendBuffer {
-    std::deque<Message> packets;
-  };
-  static std::uint64_t key(graph::EdgeId edge, net::FlowId flow) {
-    return (static_cast<std::uint64_t>(edge) << 32) | flow;
-  }
+  friend class core::ForwardingCore<Message, LiveNode>;
 
   FlowStatsEntry& statsFor(net::FlowId flow);
   void handleData(const Message& message, util::SimTime now);
-  void handleNack(const Message& message, util::SimTime now);
-  void forward(const Message& message, graph::EdgeId arrivalEdge,
-               util::SimTime now);
-  void noteSequenceForRecovery(const Message& message, util::SimTime now);
-  void bufferForRetransmit(graph::EdgeId outEdge, const Message& message);
+
+  /// ForwardingCore sink: stamps the per-hop header and sends.
+  void send(graph::EdgeId edge, Message&& message);
 
   graph::NodeId id_;
   const graph::Graph* overlay_;
   LiveNodeSender* sender_;
-  LiveNodeConfig config_;
-
-  std::map<net::FlowId, core::SequenceWindow> seen_;
-  std::map<std::uint64_t, ReceiveState> receive_;
-  std::map<std::uint64_t, SendBuffer> sendBuffers_;
+  core::ForwardingCore<Message, LiveNode> core_;
   std::map<net::FlowId, FlowStatsEntry> flowStats_;
-
-  std::uint64_t duplicatesDropped_ = 0;
   std::uint64_t misroutedDropped_ = 0;
-  std::uint64_t expiredDropped_ = 0;
-  std::uint64_t nacksSent_ = 0;
-  std::uint64_t retransmissionsSent_ = 0;
-  std::uint64_t nackRecoveries_ = 0;
 };
 
 }  // namespace dg::live

@@ -2,12 +2,15 @@
 // fan-out, no-echo, duplicate suppression, forwarding expiry, delivery
 // classification at the destination, and the per-hop NACK recovery
 // round trip (gap -> NACK on reverse edge -> retransmission -> first
-// copy counts as a recovery). These mirror the simulator-node tests so
-// a divergence pins which engine drifted.
+// copy counts as a recovery). The rules themselves live in the shared
+// forwarding core; these pin the live driver's view of them (per-hop
+// header, in-band flow metadata, wire-capped NACKs, delivery stats).
 #include "live/live_node.hpp"
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <stdexcept>
 #include <vector>
 
 namespace dg {
@@ -258,29 +261,29 @@ TEST(LiveNode, RecoveryDisabledSendsNoNacks) {
 
 TEST(LiveNode, EvictedSequencesCannotBeRetransmitted) {
   LinkPair link;
-  live::LiveNodeConfig config;
-  config.sendBufferPackets = 4;
   RecordingSender senderA;
   RecordingSender senderB;
-  live::LiveNode a(0, link.g, senderA, config);
-  live::LiveNode b(1, link.g, senderB, config);
+  live::LiveNode a(0, link.g, senderA);
+  live::LiveNode b(1, link.g, senderB);
 
-  for (net::SequenceNumber seq = 0; seq < 10; ++seq) {
-    a.originate(link.flow, seq, util::milliseconds(100 * (seq + 1)));
+  for (net::SequenceNumber seq = 0; seq < 70; ++seq) {
+    a.originate(link.flow, seq, util::milliseconds(1));
   }
-  // Only sequence 9 arrives: B NACKs 0..8, but A's 4-deep buffer only
-  // still holds 6, 7, 8 (9 was never requested).
-  b.handleMessage(senderA.sent[9].message, util::milliseconds(1010));
+  // Only sequence 69 arrives: B NACKs 0..68, but A's 64-deep buffer
+  // only still holds 6..68 (69 was never requested).
+  b.handleMessage(senderA.sent[69].message, util::milliseconds(10));
   ASSERT_EQ(senderB.sent.size(), 1u);
-  EXPECT_EQ(senderB.sent[0].message.nackSequences.size(), 9u);
+  EXPECT_EQ(senderB.sent[0].message.nackSequences.size(), 69u);
 
-  a.handleMessage(senderB.sent[0].message, util::milliseconds(1015));
-  EXPECT_EQ(a.retransmissionsSent(), 3u);
+  a.handleMessage(senderB.sent[0].message, util::milliseconds(15));
+  EXPECT_EQ(a.retransmissionsSent(), 63u);
   std::vector<net::SequenceNumber> recovered;
-  for (std::size_t i = 10; i < senderA.sent.size(); ++i) {
+  for (std::size_t i = 70; i < senderA.sent.size(); ++i) {
     recovered.push_back(senderA.sent[i].message.sequence);
   }
-  EXPECT_EQ(recovered, (std::vector<net::SequenceNumber>{6, 7, 8}));
+  std::vector<net::SequenceNumber> expected(63);
+  std::iota(expected.begin(), expected.end(), net::SequenceNumber{6});
+  EXPECT_EQ(recovered, expected);
 }
 
 TEST(LiveNode, LateFillAfterNackDoesNotRenack) {
@@ -330,6 +333,19 @@ TEST(LiveNode, MisroutedEdgeMessagesAreDroppedBeforeAnyEdgeLookup) {
                      util::milliseconds(110));
   EXPECT_EQ(sender.sent.size(), 1u);
   EXPECT_EQ(node.misroutedDropped(), 4u);
+}
+
+TEST(LiveNode, RejectsOverlaysBeyondSixtyFourEdges) {
+  // A 40-node bidirectional ring has 80 directed edges: a graph mask
+  // cannot name edges 64..79, so no live node may run on it.
+  graph::Graph ring;
+  ring.addNodes(40);
+  for (graph::NodeId n = 0; n < 40; ++n) {
+    ring.addBidirectional(n, (n + 1) % 40, util::milliseconds(10));
+  }
+  RecordingSender sender;
+  EXPECT_THROW(live::LiveNode(1, ring, sender), std::length_error);
+  EXPECT_NO_THROW(live::LiveNode(1, diamond(), sender));
 }
 
 }  // namespace

@@ -896,7 +896,7 @@ int cmdDaemon(const util::Config& args) {
       static_cast<std::uint16_t>(args.getInt("coordinator-port", 0));
   config.incarnation =
       static_cast<std::uint64_t>(args.getInt("incarnation", 1));
-  config.recoveryEnabled = args.getBool("recovery", false);
+  config.forwarding.recoveryEnabled = args.getBool("recovery", false);
   config.packetInterval =
       args.getInt("packet-interval-us", config.packetInterval);
   config.membership.heartbeatInterval =
