@@ -9,6 +9,7 @@
 #include "graph/disjoint_paths.hpp"
 #include "graph/k_shortest.hpp"
 #include "graph/shortest_path.hpp"
+#include "mcast/scheme.hpp"
 #include "playback/playback.hpp"
 #include "routing/targeted_graphs.hpp"
 #include "telemetry/telemetry.hpp"
@@ -102,6 +103,41 @@ void BM_MonteCarloDelivery(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_MonteCarloDelivery)->Arg(100)->Arg(1000);
+
+// The group twin: one send on the group-flooding graph of an 8-receiver
+// ltn12 group, scored against every receiver (ns per call / per sample).
+void BM_MonteCarloDeliveryGroup(benchmark::State& state) {
+  const auto& g = ltn().graph();
+  const mcast::Group group =
+      mcast::parseGroupSpec("NYC:LAX+SJC+SEA+DEN+DFW+CHI+LON+FRA", ltn());
+  const routing::NetworkView baseline(std::vector<double>(g.edgeCount(), 0.0),
+                                      g.baseLatencies());
+  const auto scheme = mcast::makeGroupScheme(
+      mcast::GroupSchemeKind::kGroupFlooding, g, group, routing::SchemeParams{});
+  scheme->initialize(baseline);
+  const graph::DisseminationGraph& flooding = scheme->select(baseline);
+  std::vector<double> losses(g.edgeCount(), 0.0);
+  for (const graph::EdgeId e : g.outEdges(group.source)) losses[e] = 0.3;
+  const auto latencies = g.baseLatencies();
+  const playback::DeliveryModelParams params;
+  const std::size_t receivers = group.receivers.size();
+  std::vector<util::SimTime> deadlines(receivers);
+  for (std::size_t r = 0; r < receivers; ++r)
+    deadlines[r] = mcast::receiverDeadline(group, r, params.deadline);
+  std::vector<int> onTime(receivers);
+  std::vector<int> histogram(receivers + 1);
+  playback::DeliveryWorkspace ws;
+  util::Rng rng(1);
+  for (auto _ : state) {
+    playback::onTimeCountsMCGroup(flooding, group.receivers, deadlines, losses,
+                                  latencies, params,
+                                  static_cast<int>(state.range(0)), rng, ws,
+                                  onTime, histogram);
+    benchmark::DoNotOptimize(histogram.data());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_MonteCarloDeliveryGroup)->Arg(100)->Arg(1000);
 
 void BM_PlaybackHealthyDay(benchmark::State& state) {
   const auto& g = ltn().graph();

@@ -170,7 +170,7 @@ void appendRunJson(std::ostringstream& json, const char* name,
 }
 
 void appendStagesJson(std::ostringstream& json, const char* name,
-                      const playback::ExperimentResult::StageBreakdown& s) {
+                      const playback::StageBreakdown& s) {
   json << "  \"" << name << "\": {\n"
        << "    \"decode_seconds\": " << static_cast<double>(s.decodeNs) / 1e9
        << ",\n"
@@ -323,14 +323,8 @@ int main(int argc, char** argv) {
             << memoStats.decisionHits << " hits / "
             << memoStats.decisionMisses << " misses\n";
 
-  playback::ExperimentResult::StageBreakdown optimizedStages;
-  {
-    const playback::StageTimings& st = optimizedEngine.stageTimings();
-    optimizedStages.decodeNs = st.decodeNs.load(std::memory_order_relaxed);
-    optimizedStages.mcNs = st.mcNs.load(std::memory_order_relaxed);
-    optimizedStages.memoNs = st.memoNs.load(std::memory_order_relaxed);
-    optimizedStages.mergeNs = st.mergeNs.load(std::memory_order_relaxed);
-  }
+  const playback::StageBreakdown optimizedStages =
+      optimizedEngine.stageTimings().snapshot();
 
   // ---- Chunk-parallel packed sweep, cold and warm memo cache ----------
   const auto tmpDir = std::filesystem::temp_directory_path();

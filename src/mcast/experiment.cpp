@@ -59,6 +59,7 @@ GroupExperimentResult sweepGroups(const GroupPlaybackEngine& engine,
     playback::recordSweepMetrics(*telemetry, "dg_mcast", result.perGroup,
                                  &GroupSchemeResult::unavailableAllSeconds);
   }
+  result.stages = outcome.stages;
   summarizeSchemes(result, config);
   DG_LOG(Info) << done << ": " << result.perGroup.size() << " runs, "
                << layout.chunkCount << " chunks, " << outcome.threads

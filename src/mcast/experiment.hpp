@@ -51,6 +51,9 @@ struct GroupExperimentResult {
   /// groups-major: perGroup[g * schemes.size() + s].
   std::vector<GroupSchemeResult> perGroup;
   std::vector<GroupSchemeSummary> summary;  ///< in config.schemes order
+  /// Per-stage wall-clock totals summed over all workers (populated when
+  /// the base PlaybackParams::collectStageTimings is set).
+  playback::StageBreakdown stages;
 
   const GroupSchemeResult& at(std::size_t groupIndex,
                               std::size_t schemeIndex,

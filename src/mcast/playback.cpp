@@ -82,10 +82,13 @@ class GroupPlaybackEngine::EvalStep {
   void evaluateInterval(std::size_t t, const graph::DisseminationGraph& dg,
                         std::span<const double> lossRates,
                         std::span<const util::SimTime> latencies, Eval& eval,
-                        playback::StageClock& /*clock*/) {
+                        playback::StageClock& clock) {
     const std::size_t n = receiverCount_;
     eval.miss.resize(n);  // no-op after the first interval
     eval.arrival.resize(n);
+    // Stage buckets as in the unicast step: the deterministic evaluation
+    // (and its group accounting) is "memo", the Monte-Carlo one "mc".
+    clock.start();
     if (playback::nearLossless(dg, lossRates, params_.lossEpsilon)) {
       playback::missGroupNearLossless(dg, group_.receivers, deadlines_,
                                       lossRates, latencies, params_.delivery,
@@ -116,6 +119,7 @@ class GroupPlaybackEngine::EvalStep {
         for (std::size_t c = kBar_; c <= n; ++c) atLeastK += dp_[c];
         eval.missK = 1.0 - atLeastK;
       }
+      clock.stop(clock.memoNs);
     } else {
       // The group's stream folds in every receiver (in group order) and
       // the scheme's unicast equivalent, so a single-receiver group draws
@@ -136,6 +140,7 @@ class GroupPlaybackEngine::EvalStep {
       eval.missAll =
           1.0 - static_cast<double>(deliveredHistogram_[n]) / samples;
       eval.missK = 1.0 - static_cast<double>(deliveredAtLeastK) / samples;
+      clock.stop(clock.mcNs);
       playback::groupCleanArrivals(dg, latencies, group_.receivers,
                                    workspace_, eval.arrival);
       eval.monteCarlo = true;

@@ -128,6 +128,15 @@ class GroupPlaybackEngine {
   }
   const routing::DecisionMemo& decisionMemo() const { return decisionMemo_; }
 
+  /// Per-stage wall-clock tallies (populated only when the base
+  /// PlaybackParams::collectStageTimings is set).
+  const playback::StageTimings& stageTimings() const {
+    return core_.stageTimings();
+  }
+  /// Lets the sweep account its partial fold as merge work; ignored
+  /// unless timings are collected.
+  void addStageMergeNs(std::uint64_t ns) const { core_.addMergeNs(ns); }
+
  private:
   /// One interval's group evaluation. Hoisted outside the scoring loop
   /// (the vectors keep their capacity across intervals).

@@ -75,7 +75,8 @@ void SampleOutcomeCache::beginEpoch() {
   }
 }
 
-int SampleOutcomeCache::find(std::uint64_t keyLo, std::uint64_t keyHi) {
+bool SampleOutcomeCache::find(std::uint64_t keyLo, std::uint64_t keyHi,
+                              std::uint64_t& verdict) {
   std::uint64_t h = keyLo * 0x9E3779B97F4A7C15ULL + keyHi;
   h ^= h >> 29;
   h *= 0xBF58476D1CE4E5B9ULL;
@@ -88,17 +89,20 @@ int SampleOutcomeCache::find(std::uint64_t keyLo, std::uint64_t keyHi) {
       slot.keyHi = keyHi;
       slot.epoch = epoch_;
       pending_ = i;
-      return kMiss;
+      return false;
     }
     if (slot.keyLo == keyLo && slot.keyHi == keyHi) {
-      return slot.onTime ? 1 : 0;
+      verdict = slot.verdict;
+      return true;
     }
   }
-  return kFull;
+  pending_ = kNoSlot;
+  return false;
 }
 
-void SampleOutcomeCache::store(bool onTime) {
-  slots_[pending_].onTime = onTime;
+void SampleOutcomeCache::store(std::uint64_t verdict) {
+  if (pending_ != kNoSlot) slots_[pending_].verdict = verdict;
+  pending_ = kNoSlot;
 }
 
 }  // namespace detail
@@ -310,53 +314,30 @@ detail::McKernel resolveMcKernel(std::size_t memberCount) {
   return McKernel::kFusedScalar;
 }
 
-}  // namespace
-
-// dgcheck: hot
-double onTimeProbabilityMC(const graph::DisseminationGraph& dg,
-                           std::span<const double> lossRates,
-                           std::span<const util::SimTime> latencies,
-                           const DeliveryModelParams& params,
-                           int samples, util::Rng& rng,
-                           DeliveryWorkspace& ws) {
-  if (samples <= 0) return 0.0;
-  ws.prepare(dg.overlay());
-  int delivered = 0;
-
-  // Clean-sample shortcut: when every member edge draws its on-time
-  // transit outcome, the sampled array *equals* the latency array, so the
-  // per-sample Dijkstra would reproduce this no-loss run exactly --
-  // typically the majority of samples, since per-hop loss is well below 1
-  // even on problematic links. The RNG is still advanced identically for
-  // every sample, so results match the reference implementation bit for
-  // bit.
-  const bool cleanOnTime =
-      distancesWithin(dg, latencies, params.deadline, ws);
-
-  // Deviating samples repeat themselves: each member edge lands on one of
-  // three outcomes, so the sample's weight vector is captured by 2 bits
-  // per member edge (0 = on-time, 1 = recovered, 2 = lost). Identical
-  // patterns imply identical Dijkstra runs -- memoize the verdict per
-  // pattern for the duration of this call. Graphs with more than 64
-  // member edges overflow the 128-bit key and simply skip the memo.
-  const std::vector<graph::EdgeId>& members = dg.edges();
+/// Per-call sampling setup shared by both Monte-Carlo evaluators. Hoists
+/// the per-edge sampling arithmetic out of the sample loop and lets each
+/// draw classify on the raw 53-bit integer instead of the double:
+/// sampleHopLatency draws u = (next() >> 11) * 2^-53 and compares
+/// u < thr. Both u and thr * 2^53 are exact doubles (a 53-bit integer
+/// scaled by a power of two), so u < thr is *equivalent* to the integer
+/// comparison (next() >> 11) < ceil(thr * 2^53) -- every draw classifies
+/// identically, bit for bit. With recovery disabled the recovered
+/// threshold is pinned to the on-time one so that band is empty. Also
+/// pre-fills the sampled weights with the clean (on-time) outcome, which
+/// a pattern-memo miss patches the deviating edges into and back out of,
+/// clears the clean-path flags and starts a fresh memo epoch.
+void prepareSampling(const std::vector<graph::EdgeId>& members,
+                     std::span<const double> lossRates,
+                     std::span<const util::SimTime> latencies,
+                     const DeliveryModelParams& params,
+                     DeliveryWorkspace& ws) {
   const std::size_t memberCount = members.size();
-  const bool patternMemo = memberCount <= 64;
-  if (patternMemo) ws.outcomeCache.beginEpoch();
-
-  // Hoist the per-edge sampling arithmetic out of the sample loop, and
-  // classify each draw on the raw 53-bit integer instead of the double:
-  // sampleHopLatency draws u = (next() >> 11) * 2^-53 and compares
-  // u < thr. Both u and thr * 2^53 are exact doubles (a 53-bit integer
-  // scaled by a power of two), so u < thr is *equivalent* to the integer
-  // comparison (next() >> 11) < ceil(thr * 2^53) -- every draw classifies
-  // identically, bit for bit. With recovery disabled the recovered
-  // threshold is pinned to the on-time one so that band is empty.
   if (ws.mcThrOnTime.size() < memberCount) {
     ws.mcThrOnTime.resize(memberCount);
     ws.mcThrRecovered.resize(memberCount);
     ws.mcLatency.resize(memberCount);
     ws.mcRecoveredLatency.resize(memberCount);
+    ws.mcOnCleanPath.resize(memberCount);
   }
   constexpr double kScale53 = 9007199254740992.0;  // 2^53
   for (std::size_t i = 0; i < memberCount; ++i) {
@@ -370,91 +351,124 @@ double onTimeProbabilityMC(const graph::DisseminationGraph& dg,
             : ws.mcThrOnTime[i];
     ws.mcLatency[i] = lat;
     ws.mcRecoveredLatency[i] = 3 * lat + params.packetInterval;
+    ws.mcOnCleanPath[i] = 0;
+    ws.sampledHop[members[i]] = lat;
   }
-  // Pre-fill the sampled weights with the clean (on-time) outcome; each
-  // memoized-pattern miss below only patches the deviating edges in and
-  // back out again. Alongside, mark the clean earliest path's member
-  // edges (in the key's even bit positions). Sampled outcomes only ever
-  // slow an edge down (recovered > on-time, lost = never), which makes
-  // the verdict monotone in the clean one:
-  //   - clean misses the deadline  -> every sample misses it too;
-  //   - clean on time and a sample's deviating edges all avoid the clean
-  //     earliest path -> that path is intact, the sample is on time.
-  // Only samples that actually slow the earliest path down need a memo
-  // lookup or a Dijkstra run.
-  std::uint64_t cleanPathLo = 0;
-  std::uint64_t cleanPathHi = 0;
-  if (patternMemo) {
-    for (std::size_t i = 0; i < memberCount; ++i) {
-      ws.sampledHop[members[i]] = ws.mcLatency[i];
-    }
-    if (cleanOnTime) {
-      const graph::Graph& overlay = dg.overlay();
-      for (graph::NodeId n = dg.destination(); n != dg.source();) {
-        const graph::EdgeId e = ws.via[n];
-        const std::size_t i = static_cast<std::size_t>(
-            std::lower_bound(members.begin(), members.end(), e) -
-            members.begin());
-        (i < 32 ? cleanPathLo : cleanPathHi) |= std::uint64_t{1}
-                                                << (2 * (i & 31));
-        n = overlay.edge(e).from;
-      }
+  ws.outcomeCache.beginEpoch();
+}
+
+/// The clean (all edges on time) run's verdict mask, bit r = receiver r
+/// on time, and the member edges of the earliest paths those verdicts
+/// rest on: as a key mask (even bit of each 2-bit slot) for keyed calls,
+/// as ws.mcOnCleanPath flags for the plain fallback. Sampled outcomes
+/// only ever slow an edge down (recovered > on-time, lost = never), which
+/// makes every verdict monotone in the clean one:
+///   - a receiver late in the clean run is late in every sample;
+///   - when a sample's deviating edges all avoid the clean-on-time
+///     receivers' earliest paths, those paths are intact and every clean
+///     verdict stands.
+/// Only samples that slow some clean earliest path down need a memo
+/// lookup or a Dijkstra run.
+struct CleanVerdict {
+  std::uint64_t mask = 0;
+  std::uint64_t pathLo = 0;
+  std::uint64_t pathHi = 0;
+
+  /// Records `receiver` as on time in the clean run whose predecessor
+  /// edges ws.via holds, as verdict bit `bit`, with its earliest path.
+  /// Only the flags are kept past 64 member edges or receivers.
+  void addOnTime(const graph::DisseminationGraph& dg, DeliveryWorkspace& ws,
+                 graph::NodeId receiver, std::size_t bit) {
+    if (bit < 64) mask |= std::uint64_t{1} << bit;
+    const std::vector<graph::EdgeId>& members = dg.edges();
+    for (graph::NodeId n = receiver; n != dg.source();) {
+      const graph::EdgeId e = ws.via[n];
+      const std::size_t i = static_cast<std::size_t>(
+          std::lower_bound(members.begin(), members.end(), e) -
+          members.begin());
+      ws.mcOnCleanPath[i] = 1;
+      if (i < 64)
+        (i < 32 ? pathLo : pathHi) |= std::uint64_t{1} << (2 * (i & 31));
+      n = dg.overlay().edge(e).from;
     }
   }
 
-  // Verdict for one sample's 2-bit outcome-pattern key. Collapse each
-  // 2-bit code to its even bit (a pair is never 11) and intersect with
-  // the clean-path mask: empty means the clean earliest path is intact
-  // (covers the all-on-time case as well). Only samples that slow the
-  // clean earliest path down consult the memo / run Dijkstra.
-  const auto scoreKey = [&](std::uint64_t keyLo, std::uint64_t keyHi) {
-    if (!cleanOnTime) return false;
-    if ((((keyLo | (keyLo >> 1)) & cleanPathLo) |
-         ((keyHi | (keyHi >> 1)) & cleanPathHi)) == 0) {
-      return true;
+  /// True when no deviating edge of the key lies on a clean earliest
+  /// path (covers the all-on-time key as well). Collapses each 2-bit code
+  /// to its even bit -- a pair is never 11 -- and intersects.
+  bool intact(std::uint64_t keyLo, std::uint64_t keyHi) const {
+    return (((keyLo | (keyLo >> 1)) & pathLo) |
+            ((keyHi | (keyHi >> 1)) & pathHi)) == 0;
+  }
+};
+
+/// Verdict mask of an outcome-pattern key that slows a clean earliest path
+/// down: the pattern's memoized verdict, else evaluate() run over the
+/// pre-filled clean weights with the key's deviating edges patched in (and
+/// restored after). Identical patterns imply identical Dijkstra runs, so
+/// the memo holds for the whole call.
+template <typename Evaluate>
+std::uint64_t memoizedVerdict(const std::vector<graph::EdgeId>& members,
+                              std::uint64_t keyLo, std::uint64_t keyHi,
+                              DeliveryWorkspace& ws, Evaluate&& evaluate) {
+  std::uint64_t verdict = 0;
+  if (ws.outcomeCache.find(keyLo, keyHi, verdict)) return verdict;
+  // A code pair is never 11, so every set key bit identifies one
+  // deviating edge -- even bit means recovered, odd bit means lost.
+  const auto patch = [&](std::uint64_t bits, std::size_t base, bool restore) {
+    while (bits != 0) {
+      const int b = std::countr_zero(bits);
+      bits &= bits - 1;
+      const std::size_t i = base + static_cast<std::size_t>(b >> 1);
+      ws.sampledHop[members[i]] = restore          ? ws.mcLatency[i]
+                                  : (b & 1) != 0 ? util::kNever
+                                                 : ws.mcRecoveredLatency[i];
     }
-    const int cached = ws.outcomeCache.find(keyLo, keyHi);
-    if (cached >= 0) return cached != 0;
-    // A Dijkstra run is actually needed: patch the deviating edges
-    // into the pre-filled clean weights. A code pair is never 11,
-    // so every set key bit identifies one deviating edge -- even
-    // bit means recovered, odd bit means lost.
-    const auto patch = [&](std::uint64_t bits, std::size_t base,
-                           bool restore) {
-      while (bits != 0) {
-        const int b = std::countr_zero(bits);
-        bits &= bits - 1;
-        const std::size_t i = base + static_cast<std::size_t>(b >> 1);
-        ws.sampledHop[members[i]] =
-            restore ? ws.mcLatency[i]
-            : (b & 1) != 0 ? util::kNever
-                           : ws.mcRecoveredLatency[i];
-      }
-    };
-    patch(keyLo, 0, false);
-    patch(keyHi, 32, false);
-    const bool onTime = onTimeUnder(dg, ws.sampledHop, params.deadline, ws);
-    patch(keyLo, 0, true);
-    patch(keyHi, 32, true);
-    if (cached == detail::SampleOutcomeCache::kMiss) {
-      ws.outcomeCache.store(onTime);
-    }
-    return onTime;
   };
+  patch(keyLo, 0, false);
+  patch(keyHi, 32, false);
+  verdict = evaluate();
+  patch(keyLo, 0, true);
+  patch(keyHi, 32, true);
+  ws.outcomeCache.store(verdict);
+  return verdict;
+}
 
-  // Draw through a local generator so the four state words live in
-  // registers for the whole loop nest (the caller's rng is advanced to
-  // the same final state below).
+/// Verdict mask of one sample's outcome-pattern key. The clean-path test
+/// is the per-sample hot path and stays small enough to inline into the
+/// sample loop; only keys that hit the mask leave it.
+template <typename Evaluate>
+std::uint64_t patternVerdict(const CleanVerdict& clean,
+                             const std::vector<graph::EdgeId>& members,
+                             std::uint64_t keyLo, std::uint64_t keyHi,
+                             DeliveryWorkspace& ws, Evaluate&& evaluate) {
+  if (clean.intact(keyLo, keyHi)) return clean.mask;
+  return memoizedVerdict(members, keyLo, keyHi, ws, evaluate);
+}
+
+/// Sampling front end shared by both evaluators; prepareSampling must
+/// have run. Draws `samples` samples through a local generator, so the
+/// four state words live in registers for the whole loop nest (`rng` ends
+/// in the same state). When `keyed` (at most 64 member edges, so a
+/// 128-bit key holds 2 bits per edge) each sample's outcome-pattern key
+/// goes to onKey(keyLo, keyHi), in sample order, from the classify kernel
+/// resolveMcKernel picks. Otherwise each sample is drawn straight into
+/// ws.sampledHop and onWeights(touches) is called, `touches` being whether
+/// an edge flagged in ws.mcOnCleanPath left its on-time latency (if not,
+/// the sample has the clean verdict; see CleanVerdict). Every path
+/// consumes the same samples * memberCount draws in the same order.
+template <typename OnKey, typename OnWeights>
+void drawSamples(const std::vector<graph::EdgeId>& members, int samples,
+                 bool keyed, util::Rng& rng, DeliveryWorkspace& ws,
+                 OnKey&& onKey, OnWeights&& onWeights) {
+  const std::size_t memberCount = members.size();
   util::Rng localRng = rng;
-
   const detail::McKernel kernel =
-      patternMemo ? resolveMcKernel(memberCount) : detail::McKernel::kAuto;
+      keyed ? resolveMcKernel(memberCount) : detail::McKernel::kAuto;
 
-  if (!patternMemo) {
-    // Too many member edges for a 128-bit pattern key: sample straight
-    // into the weight array.
+  if (!keyed) {
     for (int s = 0; s < samples; ++s) {
-      bool deviates = false;
+      bool touches = false;
       for (std::size_t i = 0; i < memberCount; ++i) {
         const std::uint64_t k = localRng.next() >> 11;
         const util::SimTime hop = k < ws.mcThrOnTime[i] ? ws.mcLatency[i]
@@ -462,13 +476,9 @@ double onTimeProbabilityMC(const graph::DisseminationGraph& dg,
                                       ? ws.mcRecoveredLatency[i]
                                       : util::kNever;
         ws.sampledHop[members[i]] = hop;
-        deviates |= hop != ws.mcLatency[i];
+        if (hop != ws.mcLatency[i]) touches |= ws.mcOnCleanPath[i] != 0;
       }
-      const bool onTime =
-          deviates && cleanOnTime
-              ? onTimeUnder(dg, ws.sampledHop, params.deadline, ws)
-              : cleanOnTime;
-      if (onTime) ++delivered;
+      onWeights(touches);
     }
   } else if (kernel == detail::McKernel::kFusedScalar) {
     // Fused draw-and-classify loop: 2-bit outcome code per member edge
@@ -498,7 +508,7 @@ double onTimeProbabilityMC(const graph::DisseminationGraph& dg,
           keyHi |= code << (2 * (i - 32));
         }
       }
-      if (scoreKey(keyLo, keyHi)) ++delivered;
+      onKey(keyLo, keyHi);
     }
   } else {
     // Batched SoA kernels: draw a whole block of samples into the draw
@@ -535,15 +545,61 @@ double onTimeProbabilityMC(const graph::DisseminationGraph& dg,
                       ws.mcThrOnTime.data(), ws.mcThrRecovered.data(),
                       ws.mcKeyLo.data(), ws.mcKeyHi.data());
 #endif
-      for (int b = 0; b < blockSamples; ++b) {
-        if (scoreKey(ws.mcKeyLo[static_cast<std::size_t>(b)],
-                     ws.mcKeyHi[static_cast<std::size_t>(b)])) {
-          ++delivered;
-        }
+      for (std::size_t b = 0; b < static_cast<std::size_t>(blockSamples);
+           ++b) {
+        onKey(ws.mcKeyLo[b], ws.mcKeyHi[b]);
       }
     }
   }
   rng = localRng;
+}
+
+}  // namespace
+
+// dgcheck: hot
+double onTimeProbabilityMC(const graph::DisseminationGraph& dg,
+                           std::span<const double> lossRates,
+                           std::span<const util::SimTime> latencies,
+                           const DeliveryModelParams& params,
+                           int samples, util::Rng& rng,
+                           DeliveryWorkspace& ws) {
+  if (samples <= 0) return 0.0;
+  ws.prepare(dg.overlay());
+  const std::vector<graph::EdgeId>& members = dg.edges();
+  prepareSampling(members, lossRates, latencies, params, ws);
+
+  // Clean-sample shortcut: when every member edge draws its on-time
+  // transit outcome, the sampled array *equals* the latency array, so the
+  // per-sample Dijkstra would reproduce this no-loss run exactly --
+  // typically the majority of samples, since per-hop loss is well below 1
+  // even on problematic links. The RNG is still advanced identically for
+  // every sample, so results match the reference implementation bit for
+  // bit. Deviating samples that leave the clean earliest path intact are
+  // on time as well (CleanVerdict), and the rest repeat themselves, so
+  // their verdicts are memoized per outcome pattern. Graphs with more
+  // than 64 member edges overflow the 128-bit key and sample plainly.
+  const bool cleanOnTime =
+      distancesWithin(dg, latencies, params.deadline, ws);
+  const bool keyed = members.size() <= 64;
+  CleanVerdict clean;
+  if (cleanOnTime) clean.addOnTime(dg, ws, dg.destination(), 0);
+
+  int delivered = 0;
+  drawSamples(
+      members, samples, keyed, rng, ws,
+      [&](std::uint64_t keyLo, std::uint64_t keyHi) {
+        delivered += static_cast<int>(
+            patternVerdict(clean, members, keyLo, keyHi, ws, [&] {
+              return static_cast<std::uint64_t>(
+                  onTimeUnder(dg, ws.sampledHop, params.deadline, ws));
+            }));
+      },
+      [&](bool touches) {
+        const bool onTime =
+            touches ? onTimeUnder(dg, ws.sampledHop, params.deadline, ws)
+                    : cleanOnTime;
+        if (onTime) ++delivered;
+      });
   return static_cast<double>(delivered) / static_cast<double>(samples);
 }
 
@@ -722,106 +778,79 @@ void onTimeCountsMCGroup(const graph::DisseminationGraph& dg,
   std::fill(deliveredHistogram.begin(), deliveredHistogram.end(), 0);
   if (samples <= 0) return;
   ws.prepare(dg.overlay());
+  const std::vector<graph::EdgeId>& members = dg.edges();
+  prepareSampling(members, lossRates, latencies, params, ws);
 
   // One clean (all edges on time) run bounded by the loosest deadline
   // finalizes every receiver: a receiver left beyond maxDeadline has true
-  // arrival beyond *every* deadline. Per-receiver clean verdicts are
-  // saved before the sample loop clobbers ws.dist.
+  // arrival beyond *every* deadline. The same bound serves every sample.
   util::SimTime maxDeadline = 0;
   for (const util::SimTime d : deadlines) maxDeadline = std::max(maxDeadline, d);
   distancesWithin(dg, latencies, maxDeadline, ws);
-  if (ws.groupCleanOnTime.size() < receiverCount)
-    ws.groupCleanOnTime.resize(receiverCount);
+
+  // The unicast shortcuts, per receiver: the pattern memo holds a
+  // receiver bitmask, so it needs a 128-bit key and at most 64 receivers.
+  const bool keyed = members.size() <= 64 && receiverCount <= 64;
+  CleanVerdict clean;
   for (std::size_t r = 0; r < receiverCount; ++r) {
-    ws.groupCleanOnTime[r] = ws.dist[receivers[r]] <= deadlines[r] ? 1 : 0;
-  }
-
-  // Per-member sampling tables, identical to the unicast evaluator's (see
-  // onTimeProbabilityMC for the 53-bit threshold equivalence proof).
-  const std::vector<graph::EdgeId>& members = dg.edges();
-  const std::size_t memberCount = members.size();
-  if (ws.mcThrOnTime.size() < memberCount) {
-    ws.mcThrOnTime.resize(memberCount);
-    ws.mcThrRecovered.resize(memberCount);
-    ws.mcLatency.resize(memberCount);
-    ws.mcRecoveredLatency.resize(memberCount);
-  }
-  constexpr double kScale53 = 9007199254740992.0;  // 2^53
-  for (std::size_t i = 0; i < memberCount; ++i) {
-    const double p = lossRates[members[i]];
-    const util::SimTime lat = latencies[members[i]];
-    ws.mcThrOnTime[i] =
-        static_cast<std::uint64_t>(std::ceil((1.0 - p) * kScale53));
-    ws.mcThrRecovered[i] =
-        params.recoveryEnabled
-            ? static_cast<std::uint64_t>(std::ceil((1.0 - p * p) * kScale53))
-            : ws.mcThrOnTime[i];
-    ws.mcLatency[i] = lat;
-    ws.mcRecoveredLatency[i] = 3 * lat + params.packetInterval;
-  }
-
-  // Monotonicity shortcut, generalized from the unicast clean-path mask:
-  // sampled outcomes only ever slow edges down, so (a) a clean-late
-  // receiver stays late in every sample, and (b) if a sample's deviating
-  // edges all avoid every clean-on-time receiver's earliest path, those
-  // paths are intact and every clean verdict stands. Only samples that
-  // slow some clean earliest path down need a Dijkstra run.
-  if (ws.groupMemberOnCleanPath.size() < memberCount)
-    ws.groupMemberOnCleanPath.resize(memberCount);
-  std::fill_n(ws.groupMemberOnCleanPath.begin(),
-              static_cast<std::ptrdiff_t>(memberCount), char{0});
-  {
-    const graph::Graph& overlay = dg.overlay();
-    for (std::size_t r = 0; r < receiverCount; ++r) {
-      if (ws.groupCleanOnTime[r] == 0) continue;
-      for (graph::NodeId n = receivers[r]; n != dg.source();) {
-        const graph::EdgeId e = ws.via[n];
-        const std::size_t i = static_cast<std::size_t>(
-            std::lower_bound(members.begin(), members.end(), e) -
-            members.begin());
-        ws.groupMemberOnCleanPath[i] = 1;
-        n = overlay.edge(e).from;
-      }
-    }
+    if (ws.dist[receivers[r]] <= deadlines[r])
+      clean.addOnTime(dg, ws, receivers[r], r);
   }
   // dgcheck: setup end
 
-  util::Rng localRng = rng;
-  for (int s = 0; s < samples; ++s) {
-    bool deviates = false;
-    bool touches = false;
-    for (std::size_t i = 0; i < memberCount; ++i) {
-      const std::uint64_t k = localRng.next() >> 11;
-      const util::SimTime hop = k < ws.mcThrOnTime[i] ? ws.mcLatency[i]
-                                : k < ws.mcThrRecovered[i]
-                                    ? ws.mcRecoveredLatency[i]
-                                    : util::kNever;
-      ws.sampledHop[members[i]] = hop;
-      if (hop != ws.mcLatency[i]) {
-        deviates = true;
-        touches |= ws.groupMemberOnCleanPath[i] != 0;
+  // Samples with the clean verdict are only counted here and tallied once
+  // at the end; integer tallies do not depend on the order.
+  int cleanSamples = 0;
+  const auto tallyMask = [&](std::uint64_t mask, int weight) {
+    for (std::uint64_t m = mask; m != 0; m &= m - 1)
+      onTimeCounts[static_cast<std::size_t>(std::countr_zero(m))] += weight;
+    deliveredHistogram[static_cast<std::size_t>(std::popcount(mask))] +=
+        weight;
+  };
+  // Tallies the verdicts a distancesWithin run left in ws.dist.
+  const auto tallyDist = [&](int weight) {
+    std::size_t deliveredCount = 0;
+    for (std::size_t r = 0; r < receiverCount; ++r) {
+      if (ws.dist[receivers[r]] <= deadlines[r]) {
+        onTimeCounts[r] += weight;
+        ++deliveredCount;
       }
     }
-    int deliveredCount = 0;
-    if (deviates && touches) {
-      distancesWithin(dg, ws.sampledHop, maxDeadline, ws);
-      for (std::size_t r = 0; r < receiverCount; ++r) {
-        if (ws.dist[receivers[r]] <= deadlines[r]) {
-          ++onTimeCounts[r];
-          ++deliveredCount;
+    deliveredHistogram[deliveredCount] += weight;
+  };
+  drawSamples(
+      members, samples, keyed, rng, ws,
+      [&](std::uint64_t keyLo, std::uint64_t keyHi) {
+        const std::uint64_t verdict =
+            patternVerdict(clean, members, keyLo, keyHi, ws, [&] {
+              distancesWithin(dg, ws.sampledHop, maxDeadline, ws);
+              std::uint64_t onTime = 0;
+              for (std::size_t r = 0; r < receiverCount; ++r) {
+                if (ws.dist[receivers[r]] <= deadlines[r])
+                  onTime |= std::uint64_t{1} << r;
+              }
+              return onTime;
+            });
+        if (verdict == clean.mask) {
+          ++cleanSamples;
+        } else {
+          tallyMask(verdict, 1);
         }
-      }
-    } else {
-      for (std::size_t r = 0; r < receiverCount; ++r) {
-        if (ws.groupCleanOnTime[r] != 0) {
-          ++onTimeCounts[r];
-          ++deliveredCount;
+      },
+      [&](bool touches) {
+        if (!touches) {
+          ++cleanSamples;
+          return;
         }
-      }
-    }
-    ++deliveredHistogram[static_cast<std::size_t>(deliveredCount)];
+        distancesWithin(dg, ws.sampledHop, maxDeadline, ws);
+        tallyDist(1);
+      });
+  if (keyed) {
+    tallyMask(clean.mask, cleanSamples);
+  } else {
+    distancesWithin(dg, latencies, maxDeadline, ws);
+    tallyDist(cleanSamples);
   }
-  rng = localRng;
 }
 
 // ---------------------------------------------------------------------

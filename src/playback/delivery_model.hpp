@@ -70,47 +70,49 @@ class DaryHeap {
 /// of patterns ever occur across the 1000 samples. Caching the Dijkstra
 /// verdict per pattern skips the redundant re-runs while every RNG draw
 /// still happens, so results are bit-identical to evaluating each sample
-/// directly. Epoch-tagged open addressing: beginEpoch() is O(1), lookups
-/// probe a bounded window and simply decline to cache on contention.
+/// directly. The verdict is a receiver bitmask (bit r = receiver r on
+/// time; the unicast evaluator uses bit 0 only). Epoch-tagged open
+/// addressing: beginEpoch() is O(1), lookups probe a bounded window and
+/// simply decline to cache on contention.
 class SampleOutcomeCache {
  public:
-  static constexpr int kMiss = -1;  ///< reserved a slot; store() next
-  static constexpr int kFull = -2;  ///< probe window busy; do not store
-
   /// Starts a new memo epoch, logically clearing all entries.
   void beginEpoch();
 
-  /// Returns 0/1 for a cached verdict. On kMiss the slot is reserved and
-  /// the caller MUST follow up with store(); on kFull it must not.
-  int find(std::uint64_t keyLo, std::uint64_t keyHi);
+  /// True with the cached verdict on a hit. On a miss it reserves a slot
+  /// when the probe window has room; the caller must then follow up with
+  /// store() (which is a no-op when nothing was reserved).
+  bool find(std::uint64_t keyLo, std::uint64_t keyHi, std::uint64_t& verdict);
 
-  /// Fills the slot reserved by the preceding find() == kMiss.
-  void store(bool onTime);
+  /// Fills the slot reserved by the preceding missed find(), if any.
+  void store(std::uint64_t verdict);
 
  private:
   struct Slot {
     std::uint64_t keyLo = 0;
     std::uint64_t keyHi = 0;
+    std::uint64_t verdict = 0;
     std::uint32_t epoch = 0;
-    bool onTime = false;
   };
   static constexpr std::size_t kSlots = 4096;  // power of two
   static constexpr std::size_t kMaxProbes = 8;
+  static constexpr std::size_t kNoSlot = kSlots;
 
   std::vector<Slot> slots_;
   std::uint32_t epoch_ = 0;
-  std::size_t pending_ = 0;
+  std::size_t pending_ = kNoSlot;
 };
 
 /// Monte-Carlo classify-kernel selection. The batched evaluator draws
 /// RNG outcomes for a whole block of samples at once (structure-of-arrays
 /// draw buffer) and then classifies the block against the per-edge 53-bit
 /// thresholds either with a portable scalar pass or with an AVX2 pass;
-/// the fused kernel is the original draw-and-classify loop. All kernels
-/// consume draws in the identical order and produce bit-identical
+/// the fused kernel is the original draw-and-classify loop. The unicast
+/// and the group evaluator run on the same kernels and dispatch. All
+/// kernels consume draws in the identical order and produce bit-identical
 /// results -- kAuto picks per call based on runtime CPU support and the
-/// member-edge count, and the forced values let the equivalence suite pin
-/// every kernel against the frozen reference.
+/// member-edge count, and the forced values let the equivalence suites pin
+/// every kernel against the frozen references.
 enum class McKernel { kAuto, kFusedScalar, kBlockScalar, kBlockAvx2 };
 
 /// Forces a kernel for testing (kAuto restores normal dispatch). Not
@@ -132,15 +134,19 @@ struct DeliveryWorkspace {
   std::vector<graph::EdgeId> via;         ///< per-node predecessor edge
   detail::DaryHeap heap;
   detail::SampleOutcomeCache outcomeCache;
-  /// Per-member-edge sampling tables, rebuilt per Monte-Carlo call: the
-  /// hop-outcome thresholds as exact 53-bit integers (see
-  /// onTimeProbabilityMC for the u < thr equivalence proof) and the
+  /// Per-member-edge sampling tables, rebuilt per Monte-Carlo call (by
+  /// both evaluators): the hop-outcome thresholds as exact 53-bit integers
+  /// (see prepareSampling in delivery_model.cpp for the u < thr
+  /// equivalence proof) and the
   /// on-time / recovered hop latencies, laid out densely in
   /// dissemination-graph edge order.
   std::vector<std::uint64_t> mcThrOnTime;
   std::vector<std::uint64_t> mcThrRecovered;
   std::vector<util::SimTime> mcLatency;
   std::vector<util::SimTime> mcRecoveredLatency;
+  /// Per member edge: lies on a clean-on-time earliest path (the plain
+  /// fallback's form of the clean-path key mask).
+  std::vector<char> mcOnCleanPath;
   /// Structure-of-arrays block buffers for the batched Monte-Carlo
   /// kernels: raw RNG draws for a block of samples (sample-major, so the
   /// draw order equals the reference's), and the per-sample 2-bit
@@ -148,12 +154,6 @@ struct DeliveryWorkspace {
   std::vector<std::uint64_t> mcDraws;
   std::vector<std::uint64_t> mcKeyLo;
   std::vector<std::uint64_t> mcKeyHi;
-
-  /// Group-evaluator scratch: per-receiver clean-run verdicts and the
-  /// per-member-edge "lies on some clean-on-time receiver's earliest
-  /// path" mask (see onTimeCountsMCGroup).
-  std::vector<char> groupCleanOnTime;
-  std::vector<char> groupMemberOnCleanPath;
 
   /// Ensures the per-edge/per-node arrays cover `overlay`.
   void prepare(const graph::Graph& overlay);
@@ -243,7 +243,10 @@ void groupCleanArrivals(const graph::DisseminationGraph& dg,
 /// Monte-Carlo group evaluation: for each sample every member edge draws
 /// its hop outcome exactly as the unicast evaluator does (identical RNG
 /// stream; `rng` is advanced by samples * memberCount draws), and every
-/// receiver gets an on-time verdict against its own deadline.
+/// receiver gets an on-time verdict against its own deadline. Runs on the
+/// unicast evaluator's sampling front end (block draws, classify kernels,
+/// clean-path mask, pattern memo holding a per-receiver verdict mask);
+/// with more than 64 member edges or receivers it samples plainly.
 /// onTimeCounts[i] (receiver count) accumulates per-receiver on-time
 /// samples; deliveredHistogram[c] (receiver count + 1) counts samples
 /// delivered on time to exactly c receivers -- delivered-to-all is the

@@ -71,16 +71,11 @@ unsigned sweepFlows(ExperimentResult& result, const PlaybackEngine& engine,
                               layout.intervalCount, "flow"),
                layout, telemetry);
   result.perFlow = std::move(sweep.results);
-  if (engine.params().collectStageTimings) engine.addStageMergeNs(sweep.foldNs);
   if (telemetry != nullptr) {
     recordSweepMetrics(*telemetry, "dg_playback", result.perFlow,
                        &FlowSchemeResult::unavailableSeconds);
   }
-  const StageTimings& timings = engine.stageTimings();
-  result.stages.decodeNs = timings.decodeNs.load(std::memory_order_relaxed);
-  result.stages.mcNs = timings.mcNs.load(std::memory_order_relaxed);
-  result.stages.memoNs = timings.memoNs.load(std::memory_order_relaxed);
-  result.stages.mergeNs = timings.mergeNs.load(std::memory_order_relaxed);
+  result.stages = sweep.stages;
   summarizeSchemes(result, config);
   return sweep.threads;
 }

@@ -69,12 +69,6 @@ struct ExperimentResult {
   routing::DecisionMemo::Stats memoStats;
   /// Per-stage wall-clock totals summed over all workers (populated when
   /// PlaybackParams::collectStageTimings is set; see StageTimings).
-  struct StageBreakdown {
-    std::uint64_t decodeNs = 0;
-    std::uint64_t mcNs = 0;
-    std::uint64_t memoNs = 0;
-    std::uint64_t mergeNs = 0;
-  };
   StageBreakdown stages;
 
   const FlowSchemeResult& at(std::size_t flowIndex,

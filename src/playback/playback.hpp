@@ -172,11 +172,9 @@ class PlaybackEngine {
   /// Per-stage wall-clock tallies (populated only when
   /// PlaybackParams::collectStageTimings is set).
   const StageTimings& stageTimings() const { return core_.stageTimings(); }
-  /// Lets drivers (the experiment merge loop) account their own merge
-  /// work in the same place.
-  void addStageMergeNs(std::uint64_t ns) const {
-    core_.stageTimings().mergeNs.fetch_add(ns, std::memory_order_relaxed);
-  }
+  /// Lets the sweep account its partial fold as merge work; ignored
+  /// unless timings are collected.
+  void addStageMergeNs(std::uint64_t ns) const { core_.addMergeNs(ns); }
 
  private:
   struct IntervalEval {

@@ -97,6 +97,15 @@ struct PlaybackParams {
   bool collectStageTimings = false;
 };
 
+/// Per-stage wall-clock totals of a finished sweep, summed over all
+/// workers (see StageTimings for what each stage covers).
+struct StageBreakdown {
+  std::uint64_t decodeNs = 0;
+  std::uint64_t mcNs = 0;
+  std::uint64_t memoNs = 0;
+  std::uint64_t mergeNs = 0;
+};
+
 /// Cumulative wall-clock nanoseconds per replay stage, summed across all
 /// runs on one engine (each pass adds its local tallies once, relaxed).
 /// Collected only when PlaybackParams::collectStageTimings is set.
@@ -109,6 +118,13 @@ struct StageTimings {
   std::atomic<std::uint64_t> mcNs{0};
   std::atomic<std::uint64_t> memoNs{0};
   std::atomic<std::uint64_t> mergeNs{0};
+
+  StageBreakdown snapshot() const {
+    return {decodeNs.load(std::memory_order_relaxed),
+            mcNs.load(std::memory_order_relaxed),
+            memoNs.load(std::memory_order_relaxed),
+            mergeNs.load(std::memory_order_relaxed)};
+  }
 };
 
 /// One pass's stage tallies: start() before a stage, stop(bucket) after
@@ -204,6 +220,11 @@ class ReplayCore {
     return conditionIndex_;
   }
   StageTimings& stageTimings() const { return stageTimings_; }
+  /// Adds a sweep's own merge work to the "merge" stage (when collected).
+  void addMergeNs(std::uint64_t ns) const {
+    if (params_.collectStageTimings)
+      stageTimings_.mergeNs.fetch_add(ns, std::memory_order_relaxed);
+  }
 
   /// Scores spec's range with `scheme` (already memo-attached, not yet
   /// initialized) and `step`. With accumBlockIntervals == B > 0,

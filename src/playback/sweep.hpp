@@ -23,6 +23,7 @@
 #include <utility>
 #include <vector>
 
+#include "playback/replay.hpp"
 #include "routing/scheme.hpp"
 #include "store/reader.hpp"
 #include "telemetry/telemetry.hpp"
@@ -63,8 +64,10 @@ struct SweepLayout {
 template <typename Result>
 struct SweepOutcome {
   std::vector<Result> results;  ///< one per job, entity-major
-  std::uint64_t foldNs = 0;     ///< wall time of the partial fold
-  unsigned threads = 0;         ///< workers actually used
+  /// The engine's stage totals after the sweep, the partial fold counted
+  /// as merge (all zero unless PlaybackParams::collectStageTimings is set).
+  StageBreakdown stages;
+  unsigned threads = 0;  ///< workers actually used
 };
 
 /// A packed trace opened for a chunk-parallel sweep: the decoded trace
@@ -184,7 +187,9 @@ auto runSweep(const Engine& engine, const std::vector<Entity>& entities,
                                               schemes[job % schemeCount],
                                               std::move(total));
   }
-  out.foldNs = static_cast<std::uint64_t>(util::nowNanos() - foldStart);
+  engine.addStageMergeNs(
+      static_cast<std::uint64_t>(util::nowNanos() - foldStart));
+  out.stages = engine.stageTimings().snapshot();
 
   if (telemetry != nullptr) {
     for (const auto& taskResult : taskTelemetry) telemetry->merge(*taskResult);

@@ -166,6 +166,49 @@ TEST(GroupExperiment, NarrowWindowScoresOnlyItsIntervals) {
   }
 }
 
+// Both group runners report the stage breakdown: Monte-Carlo intervals
+// land in "mc", deterministic ones in "memo", and nothing is timed unless
+// asked for.
+TEST(GroupExperiment, StageTimingsCoverMonteCarloIntervals) {
+  const trace::Topology topology = trace::Topology::ltn12();
+  const trace::Trace tr = experimentTrace(topology.graph());
+  GroupExperimentConfig config = baseConfig(topology);
+  config.threads = 2;
+
+  const GroupExperimentResult untimed =
+      runGroupExperiment(topology.graph(), tr, config);
+  EXPECT_EQ(untimed.stages.mcNs, 0u);
+  EXPECT_EQ(untimed.stages.memoNs, 0u);
+  EXPECT_EQ(untimed.stages.mergeNs, 0u);
+
+  config.playback.base.collectStageTimings = true;
+  telemetry::Telemetry telemetry;
+  const GroupExperimentResult timed =
+      runGroupExperiment(topology.graph(), tr, config, &telemetry);
+  double mcIntervals = 0.0;
+  for (const auto& [key, value] : telemetry.metrics.samples()) {
+    if (key.find("dg_mcast_mc_intervals_total") != std::string::npos)
+      mcIntervals += value;
+  }
+  ASSERT_GT(mcIntervals, 0.0);
+  EXPECT_GT(timed.stages.mcNs, 0u);
+  EXPECT_GT(timed.stages.memoNs, 0u);
+  expectResultsIdentical(untimed, timed);
+
+  const std::string path =
+      (std::filesystem::path(::testing::TempDir()) / "mcast_stages.dgtrace")
+          .string();
+  store::WriterOptions options;
+  options.chunkIntervals = 64;
+  store::packTrace(tr, path, options);
+  const GroupExperimentResult packed =
+      runPackedGroupExperiment(topology.graph(), path, config);
+  EXPECT_GT(packed.stages.mcNs, 0u);
+  EXPECT_GT(packed.stages.memoNs, 0u);
+  EXPECT_GT(packed.stages.mergeNs, 0u);
+  std::filesystem::remove(path);
+}
+
 TEST(GroupExperiment, RejectsMalformedConfigs) {
   const trace::Topology topology = trace::Topology::ltn12();
   const trace::Trace tr = experimentTrace(topology.graph());
