@@ -2,10 +2,11 @@
 //
 // Replays the full transcontinental flows x schemes experiment over a
 // synthetic week-long trace twice with the same engine parameters:
-// once on the legacy path (per-interval vector materialization, no
-// memoization -- the pre-optimization baseline, still selectable via
-// PlaybackParams) and once on the optimized path (condition-timeline
-// cursor + cross-job decision/evaluation memos). It reports wall time,
+// once on legacy replay (per-interval vector materialization, every
+// select() run, no decision memo -- still selectable via PlaybackParams)
+// and once on the optimized path (condition-timeline cursor + cross-job
+// decision memo). Both arms run the same optimized evaluators; the
+// frozen reference evaluators are test oracles only. It reports wall time,
 // replayed intervals per second and heap allocations (counted by the
 // operator new replacement below) for both runs, verifies the two
 // produce *identical* results, and writes everything to
@@ -289,7 +290,8 @@ int main(int argc, char** argv) {
             << util::toSeconds(trace.duration()) / 86'400.0 << " days), "
             << threads << " thread(s) ===\n";
 
-  // Legacy path: per-interval vector materialization, no memoization.
+  // Legacy replay: per-interval vector materialization, no decision memo,
+  // optimized evaluators.
   playback::PlaybackParams legacyParams = base;
   legacyParams.decisionMemo = false;
   legacyParams.conditionCursor = false;
@@ -301,7 +303,7 @@ int main(int argc, char** argv) {
             << legacy.intervalsPerSecond << " intervals/s, "
             << legacy.allocations << " allocations\n";
 
-  // Optimized path: condition cursor + cross-job memos.
+  // Optimized path: condition cursor + cross-job decision memo.
   const playback::PlaybackEngine optimizedEngine(topology.graph(), trace,
                                                  base);
   const RunMeasurement optimized =

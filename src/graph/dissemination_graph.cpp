@@ -83,13 +83,12 @@ std::vector<util::SimTime> DisseminationGraph::earliestArrival(
   return dist;
 }
 
-// dgcheck: cold: evaluation path; results ride the eval memo and the clean-interval cache, so steady-state intervals never reach it
 util::SimTime DisseminationGraph::latencyToDestination(
     std::span<const util::SimTime> weights) const {
   return earliestArrival(weights)[destination_];
 }
 
-// dgcheck: cold: evaluation path; results are cached in the per-chunk eval memo, so steady-state intervals never reach it
+// dgcheck: cold: runs once per evaluated interval; the clean-interval reuse cache serves steady-state intervals without reaching it
 int DisseminationGraph::cost(std::span<const util::SimTime> weights) const {
   // Determine each node's first-arrival predecessor under `weights`; the
   // no-echo rule suppresses the transmission back to that predecessor.
@@ -128,7 +127,7 @@ int DisseminationGraph::cost(std::span<const util::SimTime> weights) const {
   return transmissions;
 }
 
-// dgcheck: cold: evaluation path; results are cached in the per-chunk eval memo, so steady-state intervals never reach it
+// dgcheck: cold: base-latency overload for reports and tests; the scoring path calls cost(weights), which shares this name
 int DisseminationGraph::cost() const {
   const auto weights = graph_->baseLatencies();
   return cost(weights);

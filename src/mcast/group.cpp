@@ -77,13 +77,13 @@ Group parseGroupSpec(std::string_view spec,
 
   Group group;
   group.source = *source;
+  // Every '+' separates two names, so a leading, doubled or trailing '+'
+  // leaves an empty one.
   std::string_view rest = spec.substr(colon + 1);
-  while (!rest.empty()) {
-    const std::size_t plus = rest.find('+');
-    const std::string receiverName{util::trim(
-        rest.substr(0, plus == std::string_view::npos ? rest.size() : plus))};
-    rest = plus == std::string_view::npos ? std::string_view{}
-                                          : rest.substr(plus + 1);
+  for (std::size_t plus = 0; plus != std::string_view::npos;) {
+    plus = rest.find('+');
+    const std::string receiverName{util::trim(rest.substr(0, plus))};
+    if (plus != std::string_view::npos) rest = rest.substr(plus + 1);
     if (receiverName.empty()) badGroup("empty receiver name in group spec");
     const auto receiver = topology.byName(receiverName);
     if (!receiver) badGroup("unknown site '" + receiverName + "'");

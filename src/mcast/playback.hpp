@@ -1,16 +1,16 @@
 // Group playback: replays a condition trace for one receiver set under
-// one group scheme. The replay itself -- decision staleness, warm-up,
-// steady fast path, blocked accumulation -- is playback::ReplayCore, the
-// same core the unicast engine runs; this engine supplies the evaluation
-// step, generalized to N receiver deadlines per send: per-receiver
+// one group scheme. The replay and the evaluation step -- decision
+// staleness, warm-up, steady fast path, blocked accumulation, per-receiver
 // miss/latency plus group-level delivered-to-all and delivered-to-k
-// accounting.
+// accounting -- are playback::ReplayCore and playback::EvalStep, the same
+// core and step the unicast engine runs (a unicast flow is the
+// one-receiver group); this engine builds the step from the group and
+// the group scheme and reads the result record out of the partial.
 //
 // A single-receiver group is bit-identical to the unicast engine run of
 // the scheme's unicastEquivalent() for every scheme pair (pinned by
-// test): the per-(group, scheme, interval) RNG stream derivation reduces
-// to the unicast one, and the group evaluators reduce to the unicast
-// evaluators.
+// test): both engines run the same step, and the Monte-Carlo stream is
+// seeded with the unicast-equivalent scheme kind.
 #pragma once
 
 #include <cstddef>
@@ -25,7 +25,6 @@
 #include "telemetry/telemetry.hpp"
 #include "trace/condition_timeline.hpp"
 #include "trace/trace.hpp"
-#include "util/stats.hpp"
 
 namespace dg::mcast {
 
@@ -67,26 +66,8 @@ struct GroupSchemeResult {
 };
 
 /// Partial accumulation of one contiguous interval range of a (group,
-/// scheme) run; same merge contract as playback::RunPartial (adjacent
-/// ranges folded in ascending order reproduce the single-threaded
-/// blocked accumulation bit for bit).
-struct GroupRunPartial {
-  std::vector<util::WeightedMean> receiverMiss;
-  std::vector<util::OnlineStats> receiverLatency;
-  std::vector<double> receiverUnavailableSeconds;
-  std::vector<std::size_t> receiverProblematic;
-  util::WeightedMean missAllMean;
-  util::WeightedMean missKMean;
-  util::OnlineStats costStats;
-  double unavailableAllSeconds = 0.0;
-  std::size_t problematicIntervals = 0;
-  std::vector<playback::ProblematicInterval> problems;
-
-  /// Sizes the per-receiver accumulators (idempotent).
-  void resize(std::size_t receiverCount);
-  /// Folds a partial covering the range immediately *after* this one.
-  void merge(GroupRunPartial&& later);
-};
+/// scheme) run: the one playback::RunPartial both engines fold.
+using GroupRunPartial = playback::RunPartial;
 
 class GroupPlaybackEngine {
  public:
@@ -138,19 +119,6 @@ class GroupPlaybackEngine {
   void addStageMergeNs(std::uint64_t ns) const { core_.addMergeNs(ns); }
 
  private:
-  /// One interval's group evaluation. Hoisted outside the scoring loop
-  /// (the vectors keep their capacity across intervals).
-  struct GroupIntervalEval {
-    std::vector<double> miss;            ///< per receiver
-    std::vector<util::SimTime> arrival;  ///< per receiver, kNever = none
-    double missAll = 0.0;
-    double missK = 0.0;
-    double cost = 0.0;
-    bool monteCarlo = false;
-  };
-  /// The group evaluation step plugged into playback::ReplayCore::score.
-  class EvalStep;
-
   GroupRunPartial replay(const Group& group, GroupSchemeKind kind,
                          const routing::SchemeParams& schemeParams,
                          const playback::ScoreSpec& spec) const;
@@ -159,10 +127,7 @@ class GroupPlaybackEngine {
   playback::ReplayCore core_;
 
   /// Cross-job decision memo shared by the per-receiver sub-schemes
-  /// (keyed by their unicast-equivalent contexts). Group runs do not
-  /// carry the unicast engine's deterministic-eval memo: group
-  /// evaluations are pure functions either way, and the per-receiver
-  /// result vectors make the exact-key bookkeeping a poor trade.
+  /// (keyed by their unicast-equivalent contexts).
   mutable routing::DecisionMemo decisionMemo_;
 };
 

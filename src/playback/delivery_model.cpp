@@ -129,12 +129,13 @@ util::SimTime sampleHopLatency(double lossRate, util::SimTime latency,
 
 namespace {
 
-/// Earliest-arrival deadline check shared by the Monte-Carlo sample loop
-/// and its clean-sample precomputation: true iff the destination is
-/// reachable within the deadline when member edge e delivers after
-/// weights[e] (kNever = lost). Dijkstra on the workspace's flat heap; see
-/// DaryHeap for why the result is identical to a std::priority_queue run.
+/// Earliest-arrival deadline check of the one-receiver Monte-Carlo sample
+/// loop: true iff `destination` is reachable within the deadline when
+/// member edge e delivers after weights[e] (kNever = lost). Dijkstra on
+/// the workspace's flat heap; see DaryHeap for why the result is
+/// identical to a std::priority_queue run.
 bool onTimeUnder(const graph::DisseminationGraph& dg,
+                 graph::NodeId destination,
                  std::span<const util::SimTime> weights,
                  util::SimTime deadline, DeliveryWorkspace& ws) {
   const graph::Graph& overlay = dg.overlay();
@@ -147,7 +148,7 @@ bool onTimeUnder(const graph::DisseminationGraph& dg,
   while (!ws.heap.empty()) {
     const auto [d, u] = ws.heap.popMin();
     if (d > ws.dist[u]) continue;
-    if (u == dg.destination()) return d <= deadline;
+    if (u == destination) return d <= deadline;
     if (d > deadline) return false;  // nothing reachable in time anymore
     for (const graph::EdgeId e : dg.outEdges(u)) {
       if (weights[e] == util::kNever) continue;
@@ -166,9 +167,8 @@ bool onTimeUnder(const graph::DisseminationGraph& dg,
 /// within the deadline (no destination early-exit), leaving those exact
 /// distances in ws.dist: when the loop stops, all unpopped tentative
 /// distances exceed the heap minimum that triggered the stop, so a node
-/// has ws.dist <= deadline iff its true distance is. Returns the same
-/// on-time verdict as onTimeUnder.
-bool distancesWithin(const graph::DisseminationGraph& dg,
+/// has ws.dist <= deadline iff its true distance is.
+void distancesWithin(const graph::DisseminationGraph& dg,
                      std::span<const util::SimTime> weights,
                      util::SimTime deadline, DeliveryWorkspace& ws) {
   const graph::Graph& overlay = dg.overlay();
@@ -195,7 +195,6 @@ bool distancesWithin(const graph::DisseminationGraph& dg,
       }
     }
   }
-  return ws.dist[dg.destination()] <= deadline;
 }
 
 /// Samples per batched block. Bounded so the draw buffer (block *
@@ -554,16 +553,15 @@ void drawSamples(const std::vector<graph::EdgeId>& members, int samples,
   rng = localRng;
 }
 
-}  // namespace
-
-// dgcheck: hot
-double onTimeProbabilityMC(const graph::DisseminationGraph& dg,
-                           std::span<const double> lossRates,
-                           std::span<const util::SimTime> latencies,
-                           const DeliveryModelParams& params,
-                           int samples, util::Rng& rng,
-                           DeliveryWorkspace& ws) {
-  if (samples <= 0) return 0.0;
+/// The one-receiver Monte-Carlo kernel: how many of `samples` samples
+/// reach `destination` within `deadline`. Both public Monte-Carlo
+/// evaluators run it for a single receiver.
+int onTimeSamples(const graph::DisseminationGraph& dg,
+                  graph::NodeId destination, util::SimTime deadline,
+                  std::span<const double> lossRates,
+                  std::span<const util::SimTime> latencies,
+                  const DeliveryModelParams& params, int samples,
+                  util::Rng& rng, DeliveryWorkspace& ws) {
   ws.prepare(dg.overlay());
   const std::vector<graph::EdgeId>& members = dg.edges();
   prepareSampling(members, lossRates, latencies, params, ws);
@@ -578,11 +576,11 @@ double onTimeProbabilityMC(const graph::DisseminationGraph& dg,
   // on time as well (CleanVerdict), and the rest repeat themselves, so
   // their verdicts are memoized per outcome pattern. Graphs with more
   // than 64 member edges overflow the 128-bit key and sample plainly.
-  const bool cleanOnTime =
-      distancesWithin(dg, latencies, params.deadline, ws);
+  distancesWithin(dg, latencies, deadline, ws);
+  const bool cleanOnTime = ws.dist[destination] <= deadline;
   const bool keyed = members.size() <= 64;
   CleanVerdict clean;
-  if (cleanOnTime) clean.addOnTime(dg, ws, dg.destination(), 0);
+  if (cleanOnTime) clean.addOnTime(dg, ws, destination, 0);
 
   int delivered = 0;
   drawSamples(
@@ -591,15 +589,31 @@ double onTimeProbabilityMC(const graph::DisseminationGraph& dg,
         delivered += static_cast<int>(
             patternVerdict(clean, members, keyLo, keyHi, ws, [&] {
               return static_cast<std::uint64_t>(
-                  onTimeUnder(dg, ws.sampledHop, params.deadline, ws));
+                  onTimeUnder(dg, destination, ws.sampledHop, deadline, ws));
             }));
       },
       [&](bool touches) {
         const bool onTime =
-            touches ? onTimeUnder(dg, ws.sampledHop, params.deadline, ws)
+            touches ? onTimeUnder(dg, destination, ws.sampledHop, deadline, ws)
                     : cleanOnTime;
         if (onTime) ++delivered;
       });
+  return delivered;
+}
+
+}  // namespace
+
+// dgcheck: hot
+double onTimeProbabilityMC(const graph::DisseminationGraph& dg,
+                           std::span<const double> lossRates,
+                           std::span<const util::SimTime> latencies,
+                           const DeliveryModelParams& params,
+                           int samples, util::Rng& rng,
+                           DeliveryWorkspace& ws) {
+  if (samples <= 0) return 0.0;
+  const int delivered =
+      onTimeSamples(dg, dg.destination(), params.deadline, lossRates,
+                    latencies, params, samples, rng, ws);
   return static_cast<double>(delivered) / static_cast<double>(samples);
 }
 
@@ -626,49 +640,13 @@ double missProbabilityNearLossless(const graph::DisseminationGraph& dg,
                                    std::span<const util::SimTime> latencies,
                                    const DeliveryModelParams& params,
                                    DeliveryWorkspace& ws) {
-  // With near-zero loss, delivery timing is deterministic: the earliest
-  // arrival under current latencies either meets the deadline or not.
-  // Track predecessors so the residual can be computed along the actual
-  // earliest path.
-  const graph::Graph& overlay = dg.overlay();
-  ws.prepare(overlay);
-  const std::size_t nodeCount = overlay.nodeCount();
-  std::fill_n(ws.dist.begin(), static_cast<std::ptrdiff_t>(nodeCount),
-              util::kNever);
-  std::fill_n(ws.via.begin(), static_cast<std::ptrdiff_t>(nodeCount),
-              graph::kInvalidEdge);
-  ws.heap.clear();
-  ws.dist[dg.source()] = 0;
-  ws.heap.push(0, dg.source());
-  while (!ws.heap.empty()) {
-    const auto [d, u] = ws.heap.popMin();
-    if (d > ws.dist[u]) continue;
-    for (const graph::EdgeId e : dg.outEdges(u)) {
-      const util::SimTime w = latencies[e];
-      if (w == util::kNever) continue;
-      const graph::NodeId v = overlay.edge(e).to;
-      if (d + w < ws.dist[v]) {
-        ws.dist[v] = d + w;
-        ws.via[v] = e;
-        ws.heap.push(d + w, v);
-      }
-    }
-  }
-  const util::SimTime at = ws.dist[dg.destination()];
-  if (at == util::kNever || at > params.deadline) return 1.0;
-
-  // Residual miss: a packet is only lost if it is dropped (beyond
-  // recovery) on *every* usable route; the per-hop residual summed along
-  // the single earliest path is therefore a valid upper bound (extra
-  // redundancy in the graph only shrinks the truth further).
-  double residual = 0.0;
-  for (graph::NodeId n = dg.destination(); n != dg.source();) {
-    const graph::EdgeId e = ws.via[n];
-    const double p = lossRates[e];
-    residual += params.recoveryEnabled ? p * p : p;
-    n = overlay.edge(e).from;
-  }
-  return std::min(residual, 1.0);
+  const graph::NodeId destination = dg.destination();
+  double miss = 1.0;
+  util::SimTime arrival = util::kNever;
+  missGroupNearLossless(dg, {&destination, 1}, {&params.deadline, 1},
+                        lossRates, latencies, params, ws, {&miss, 1},
+                        {&arrival, 1});
+  return miss;
 }
 
 double missProbabilityNearLossless(const graph::DisseminationGraph& dg,
@@ -686,10 +664,9 @@ double missProbabilityNearLossless(const graph::DisseminationGraph& dg,
 namespace {
 
 /// Unbounded earliest-arrival run over the dissemination graph with
-/// predecessor tracking -- the exact loop missProbabilityNearLossless
-/// runs, shared so the group variant finalizes every receiver in one
-/// pass. Leaves exact distances in ws.dist and the predecessor edge of
-/// each reached node in ws.via.
+/// predecessor tracking, finalizing every receiver in one pass. Leaves
+/// exact distances in ws.dist and the predecessor edge of each reached
+/// node in ws.via.
 void groupDistancesUnbounded(const graph::DisseminationGraph& dg,
                              std::span<const util::SimTime> weights,
                              DeliveryWorkspace& ws) {
@@ -729,6 +706,9 @@ void missGroupNearLossless(const graph::DisseminationGraph& dg,
                            const DeliveryModelParams& params,
                            DeliveryWorkspace& ws, std::span<double> missOut,
                            std::span<util::SimTime> arrivalOut) {
+  // With near-zero loss, delivery timing is deterministic: each
+  // receiver's earliest arrival under current latencies either meets its
+  // deadline or not.
   const graph::Graph& overlay = dg.overlay();
   groupDistancesUnbounded(dg, latencies, ws);
   for (std::size_t r = 0; r < receivers.size(); ++r) {
@@ -738,8 +718,11 @@ void missGroupNearLossless(const graph::DisseminationGraph& dg,
       missOut[r] = 1.0;
       continue;
     }
-    // Residual miss along this receiver's earliest-path predecessor
-    // chain, exactly as the unicast near-lossless fast path charges it.
+    // Residual miss: a packet is only lost if it is dropped (beyond
+    // recovery) on *every* usable route; the per-hop residual summed
+    // along the receiver's single earliest path is therefore a valid
+    // upper bound (extra redundancy in the graph only shrinks the truth
+    // further).
     double residual = 0.0;
     for (graph::NodeId n = receivers[r]; n != dg.source();) {
       const graph::EdgeId e = ws.via[n];
@@ -762,21 +745,39 @@ void groupCleanArrivals(const graph::DisseminationGraph& dg,
   }
 }
 
+namespace {
+
+/// onTimeCountsMCGroup's kernel for one receiver: onTimeProbabilityMC's.
 // dgcheck: hot
-void onTimeCountsMCGroup(const graph::DisseminationGraph& dg,
-                         std::span<const graph::NodeId> receivers,
-                         std::span<const util::SimTime> deadlines,
-                         std::span<const double> lossRates,
-                         std::span<const util::SimTime> latencies,
-                         const DeliveryModelParams& params, int samples,
-                         util::Rng& rng, DeliveryWorkspace& ws,
-                         std::span<int> onTimeCounts,
-                         std::span<int> deliveredHistogram) {
+void countsOneReceiver(const graph::DisseminationGraph& dg,
+                       std::span<const graph::NodeId> receivers,
+                       std::span<const util::SimTime> deadlines,
+                       std::span<const double> lossRates,
+                       std::span<const util::SimTime> latencies,
+                       const DeliveryModelParams& params, int samples,
+                       util::Rng& rng, DeliveryWorkspace& ws,
+                       std::span<int> onTimeCounts,
+                       std::span<int> deliveredHistogram) {
+  const int onTime = onTimeSamples(dg, receivers[0], deadlines[0], lossRates,
+                                   latencies, params, samples, rng, ws);
+  onTimeCounts[0] = onTime;
+  deliveredHistogram[0] = samples - onTime;
+  deliveredHistogram[1] = onTime;
+}
+
+/// onTimeCountsMCGroup's kernel for two or more receivers.
+// dgcheck: hot
+void countsReceiverSet(const graph::DisseminationGraph& dg,
+                       std::span<const graph::NodeId> receivers,
+                       std::span<const util::SimTime> deadlines,
+                       std::span<const double> lossRates,
+                       std::span<const util::SimTime> latencies,
+                       const DeliveryModelParams& params, int samples,
+                       util::Rng& rng, DeliveryWorkspace& ws,
+                       std::span<int> onTimeCounts,
+                       std::span<int> deliveredHistogram) {
   // dgcheck: setup begin
   const std::size_t receiverCount = receivers.size();
-  std::fill(onTimeCounts.begin(), onTimeCounts.end(), 0);
-  std::fill(deliveredHistogram.begin(), deliveredHistogram.end(), 0);
-  if (samples <= 0) return;
   ws.prepare(dg.overlay());
   const std::vector<graph::EdgeId>& members = dg.edges();
   prepareSampling(members, lossRates, latencies, params, ws);
@@ -851,6 +852,30 @@ void onTimeCountsMCGroup(const graph::DisseminationGraph& dg,
     distancesWithin(dg, latencies, maxDeadline, ws);
     tallyDist(cleanSamples);
   }
+}
+
+}  // namespace
+
+// dgcheck: hot
+void onTimeCountsMCGroup(const graph::DisseminationGraph& dg,
+                         std::span<const graph::NodeId> receivers,
+                         std::span<const util::SimTime> deadlines,
+                         std::span<const double> lossRates,
+                         std::span<const util::SimTime> latencies,
+                         const DeliveryModelParams& params, int samples,
+                         util::Rng& rng, DeliveryWorkspace& ws,
+                         std::span<int> onTimeCounts,
+                         std::span<int> deliveredHistogram) {
+  std::fill(onTimeCounts.begin(), onTimeCounts.end(), 0);
+  std::fill(deliveredHistogram.begin(), deliveredHistogram.end(), 0);
+  if (samples <= 0) return;
+  // One receiver takes the unicast kernel: the same draws and verdicts
+  // without the verdict-mask and delivered-count bookkeeping, which
+  // measurably slows the group kernel down at N = 1.
+  const auto kernel =
+      receivers.size() == 1 ? countsOneReceiver : countsReceiverSet;
+  kernel(dg, receivers, deadlines, lossRates, latencies, params, samples,
+         rng, ws, onTimeCounts, deliveredHistogram);
 }
 
 // ---------------------------------------------------------------------

@@ -191,7 +191,8 @@ double onTimeProbabilityMC(const graph::DisseminationGraph& dg,
 /// (<= lossEpsilon): delivery is then deterministic up to a residual miss
 /// probability bounded by the sum of per-hop unrecoverable losses along
 /// the best path. Returns the miss probability (0 area or 1 when even the
-/// lossless earliest arrival exceeds the deadline).
+/// lossless earliest arrival exceeds the deadline). The one-receiver call
+/// of missGroupNearLossless.
 double missProbabilityNearLossless(const graph::DisseminationGraph& dg,
                                    std::span<const double> lossRates,
                                    std::span<const util::SimTime> latencies,
@@ -209,14 +210,15 @@ bool nearLossless(const graph::DisseminationGraph& dg,
                   std::span<const double> lossRates, double lossEpsilon);
 
 // ---------------------------------------------------------------------
-// Receiver-set (multicast) evaluators. One flooded send on `dg` is
-// scored against every receiver's own deadline. For a single receiver
-// these are bit-identical to the unicast evaluators above (same RNG draw
+// Receiver-set evaluators, the ones the playback step runs. One flooded
+// send on `dg` is scored against every receiver's own deadline; a
+// unicast flow is the one-receiver case. For a single receiver these are
+// bit-identical to the unicast evaluators above (same RNG draw
 // discipline, same Dijkstra, same arithmetic) -- pinned by test.
 // ---------------------------------------------------------------------
 
 /// Near-lossless group evaluation: one unbounded earliest-arrival run,
-/// then per receiver the unicast deterministic verdict -- miss 1.0 when
+/// then per receiver the deterministic verdict -- miss 1.0 when
 /// unreachable or late, otherwise the residual loss summed along that
 /// receiver's earliest-path predecessor chain. Fills missOut[i] and
 /// arrivalOut[i] (util::kNever when unreachable), both sized to the
@@ -243,10 +245,11 @@ void groupCleanArrivals(const graph::DisseminationGraph& dg,
 /// Monte-Carlo group evaluation: for each sample every member edge draws
 /// its hop outcome exactly as the unicast evaluator does (identical RNG
 /// stream; `rng` is advanced by samples * memberCount draws), and every
-/// receiver gets an on-time verdict against its own deadline. Runs on the
-/// unicast evaluator's sampling front end (block draws, classify kernels,
-/// clean-path mask, pattern memo holding a per-receiver verdict mask);
-/// with more than 64 member edges or receivers it samples plainly.
+/// receiver gets an on-time verdict against its own deadline. A single
+/// receiver runs the unicast kernel of onTimeProbabilityMC; more run on
+/// its sampling front end (block draws, classify kernels, clean-path
+/// mask, pattern memo holding a per-receiver verdict mask), and with more
+/// than 64 member edges or receivers sample plainly.
 /// onTimeCounts[i] (receiver count) accumulates per-receiver on-time
 /// samples; deliveredHistogram[c] (receiver count + 1) counts samples
 /// delivered on time to exactly c receivers -- delivered-to-all is the
@@ -263,9 +266,9 @@ void onTimeCountsMCGroup(const graph::DisseminationGraph& dg,
 
 /// Pre-optimization reference implementations (per-call vector
 /// allocations, per-sample std::priority_queue, no clean-sample
-/// shortcut). Kept as the baseline arm of the throughput benchmark and
-/// for the equivalence tests, which assert the optimized versions above
-/// are bit-identical to these on every input.
+/// shortcut). Test oracles only: the equivalence tests assert the
+/// optimized versions above -- and the playback step's per-interval
+/// misses -- are bit-identical to these on every input.
 double onTimeProbabilityMCReference(const graph::DisseminationGraph& dg,
                                     std::span<const double> lossRates,
                                     std::span<const util::SimTime> latencies,

@@ -14,42 +14,31 @@
 // lossy are evaluated by Monte-Carlo over the per-hop outcome model.
 //
 // Hot-path architecture (see DESIGN.md, "Playback performance
-// architecture"): the replay itself is playback::ReplayCore
-// (replay.hpp), shared with the group engine; this engine supplies the
-// per-interval unicast evaluation. Replay is driven by
-// trace::ConditionTimeline cursors (O(changes) per interval, zero
-// allocation) handing out fingerprinted borrowed NetworkViews; routing
-// decisions and deterministic interval evaluations are memoized across
-// jobs in engine-owned, exact-keyed, internally synchronized memos.
-// Monte-Carlo evaluations are never memoized -- each interval draws from
+// architecture"): the replay and the evaluation step are
+// playback::ReplayCore and playback::EvalStep (replay.hpp), shared with
+// the group engine -- a flow is scored as the one-receiver group
+// {source, {destination}, {deadline}} and its result is read from
+// receiver 0. Replay is driven by trace::ConditionTimeline cursors
+// (O(changes) per interval, zero allocation) handing out fingerprinted
+// borrowed NetworkViews; routing decisions are memoized across jobs in an
+// engine-owned, exact-keyed, internally synchronized memo. Evaluations
+// are never memoized across jobs -- each Monte-Carlo interval draws from
 // its own deterministic RNG stream -- so results are bit-identical with
-// the memos and cursor on or off.
+// the memo and cursor on or off.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <map>
-#include <mutex>
-#include <optional>
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "playback/delivery_model.hpp"
 #include "playback/replay.hpp"
 #include "routing/decision_memo.hpp"
 #include "routing/scheme.hpp"
 #include "telemetry/telemetry.hpp"
 #include "trace/condition_timeline.hpp"
 #include "trace/trace.hpp"
-#include "util/stats.hpp"
 
 namespace dg::playback {
-
-/// One problematic interval of a flow/scheme run (sparse record).
-struct ProblematicInterval {
-  std::size_t interval = 0;
-  double missProbability = 0.0;
-};
 
 struct FlowSchemeResult {
   routing::Flow flow;
@@ -76,24 +65,6 @@ struct FlowSchemeResult {
   /// where delivery is possible). Populated only when
   /// PlaybackParams::collectIntervalLatencies is set.
   std::vector<double> intervalLatenciesUs;
-};
-
-/// Partial accumulation of one contiguous interval range of a (flow,
-/// scheme) run. Chunk-parallel sweeps compute one RunPartial per chunk
-/// and fold them in chunk order; merging partials of adjacent ranges in
-/// ascending order reproduces the single-threaded blocked accumulation
-/// bit for bit (see PlaybackParams::accumBlockIntervals).
-struct RunPartial {
-  util::WeightedMean missMean;
-  util::OnlineStats costStats;
-  util::OnlineStats latencyStats;
-  double unavailableSeconds = 0.0;
-  std::size_t problematicIntervals = 0;
-  std::vector<ProblematicInterval> problems;
-  std::vector<double> intervalLatenciesUs;
-
-  /// Folds a partial covering the range immediately *after* this one.
-  void merge(RunPartial&& later);
 };
 
 class PlaybackEngine {
@@ -148,7 +119,8 @@ class PlaybackEngine {
                              trace::ConditionSource* truthSource,
                              telemetry::Telemetry* telemetry = nullptr) const;
 
-  /// Converts a fully merged partial into the result record.
+  /// Converts a fully merged partial into the result record (receiver 0
+  /// is the destination).
   FlowSchemeResult finalizePartial(routing::Flow flow,
                                    routing::SchemeKind kind,
                                    RunPartial&& total) const;
@@ -177,39 +149,18 @@ class PlaybackEngine {
   void addStageMergeNs(std::uint64_t ns) const { core_.addMergeNs(ns); }
 
  private:
-  struct IntervalEval {
-    double miss = 0.0;
-    double cost = 0.0;
-    util::SimTime latency = util::kNever;
-    bool monteCarlo = false;  ///< the lossy path actually sampled
-  };
-  /// Exact key of a memoized deterministic interval evaluation:
-  /// {flow source, flow destination, interned edge-list id, interval
-  /// content id}. Engine-level delivery params are fixed per engine, so
-  /// these four components determine the evaluation completely.
-  using EvalKey = std::array<std::uint32_t, 4>;
-  /// The unicast evaluation step plugged into ReplayCore::score.
-  class EvalStep;
-
-  /// One scoring pass of `flow` under a fresh scheme. `timelineOut`
-  /// (nullable) receives every interval's miss probability.
+  /// One scoring pass of `flow` under a fresh scheme.
   RunPartial replay(routing::Flow flow, routing::SchemeKind kind,
                     const routing::SchemeParams& schemeParams,
-                    const ScoreSpec& spec,
-                    std::vector<double>* timelineOut) const;
-
-  std::optional<IntervalEval> findEval(const EvalKey& key) const;
-  void storeEval(const EvalKey& key, const IntervalEval& eval) const;
+                    const ScoreSpec& spec) const;
 
   ReplayCore core_;
 
-  // Cross-job memos. Mutable + internally synchronized: one const engine
-  // is shared across experiment worker threads, and every memoized value
-  // is a pure function of its exact key, so results are independent of
-  // thread count and insertion order.
+  // Cross-job decision memo. Mutable + internally synchronized: one const
+  // engine is shared across experiment worker threads, and every memoized
+  // selection is a pure function of its exact key, so results are
+  // independent of thread count and insertion order.
   mutable routing::DecisionMemo decisionMemo_;
-  mutable std::mutex evalMutex_;
-  mutable std::map<EvalKey, IntervalEval> evalMemo_;
 };
 
 }  // namespace dg::playback

@@ -1,4 +1,5 @@
-// The decision replay shared by the unicast and group playback engines.
+// The decision replay and the evaluation step shared by the unicast and
+// group playback engines.
 //
 // Both engines score a scheme by replaying the identical condition
 // stream: the decision for interval t sees the view of interval
@@ -8,28 +9,14 @@
 // depend on what is being scored: range checks, cursors over an optional
 // ConditionSource, the warm-up roll-forward with its steady-span jump,
 // the per-interval decision step (cursor and legacy mode), GraphSwitch
-// continuity, accumulation-block folds and the clean-interval reuse
-// cache. An engine plugs in an evaluation step (a template parameter)
-// that evaluates one interval, adds the evaluation to its partial, and
-// names its metrics:
-//
-//   struct Step {
-//     using Eval = ...;     // default-constructible, has `bool monteCarlo`
-//     using Partial = ...;  // default = empty, has `void merge(Partial&&)`
-//     static constexpr ReplayMetricNames kMetrics{...};
-//     std::string label() const;            // metric label value
-//     graph::NodeId source() const;         // GraphSwitch event node
-//     std::string_view schemeName() const;
-//     void evaluateInterval(std::size_t t, const graph::DisseminationGraph&,
-//                           std::span<const double> lossRates,
-//                           std::span<const util::SimTime> latencies,
-//                           Eval& out, StageClock& clock);
-//     double observedMiss(const Eval&) const;  // miss histogram sample
-//     void accumulate(Partial&, std::size_t t, const Eval&,
-//                     double intervalSeconds);
-//   };
+// continuity, accumulation-block folds, the clean-interval reuse cache
+// and the optional miss timeline. EvalStep scores one interval's send
+// against a receiver set -- a unicast flow is the one-receiver case --
+// and adds it to a RunPartial; the engines are drivers that build the
+// step and read their result records out of the merged partial.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <span>
@@ -47,7 +34,9 @@
 #include "telemetry/telemetry.hpp"
 #include "trace/condition_timeline.hpp"
 #include "trace/trace.hpp"
+#include "util/rng.hpp"
 #include "util/sim_time.hpp"
+#include "util/stats.hpp"
 #include "util/wall_clock.hpp"
 
 namespace dg::playback {
@@ -69,11 +58,12 @@ struct PlaybackParams {
   std::uint64_t seed = 7;
   /// When set, FlowSchemeResult::intervalLatenciesUs records the selected
   /// graph's earliest-arrival latency for every interval where delivery
-  /// is possible (for latency-distribution figures).
+  /// is possible (for latency-distribution figures; receiver 0 of a
+  /// group).
   bool collectIntervalLatencies = false;
-  /// Consult/populate the engine's cross-job decision and evaluation
-  /// memos (results are bit-identical either way; off = recompute
-  /// everything, for benchmarking and equivalence tests).
+  /// Consult/populate the engine's cross-job decision memo (results are
+  /// bit-identical either way; off = recompute every selection, for
+  /// benchmarking and equivalence tests).
   bool decisionMemo = true;
   /// Drive replay with the condition-timeline cursor and fingerprinted
   /// views (off = legacy per-interval vector materialization; results
@@ -157,7 +147,7 @@ class StageClock {
 };
 
 /// The per-interval telemetry series an engine records, labeled
-/// {labelKey=step.label(), scheme=step.schemeName()}.
+/// {labelKey=EvalSpec::label, scheme=EvalSpec::schemeName}.
 struct ReplayMetricNames {
   const char* labelKey;
   const char* intervals;
@@ -186,6 +176,9 @@ struct ScoreSpec {
   /// identical distribution). Off = every interval evaluated fresh, so
   /// each Monte-Carlo interval reflects its own RNG stream.
   bool reuseCleanEvals = true;
+  /// Nullable: receives every scored interval's delivered-to-all miss (a
+  /// unicast flow's miss probability).
+  std::vector<double>* missTimeline = nullptr;
 };
 
 /// Deterministic per-(source, receivers, scheme, interval) Monte-Carlo
@@ -206,6 +199,195 @@ void appendInOrder(std::vector<T>& into, std::vector<T>&& later) {
     into.insert(into.end(), later.begin(), later.end());
   }
 }
+
+/// One problematic interval of a run (sparse record).
+struct ProblematicInterval {
+  std::size_t interval = 0;
+  double missProbability = 0.0;
+};
+
+/// Partial accumulation of one contiguous interval range of a (flow or
+/// group, scheme) run. Chunk-parallel sweeps compute one RunPartial per
+/// chunk and fold them in chunk order; merging partials of adjacent
+/// ranges in ascending order reproduces the single-threaded blocked
+/// accumulation bit for bit (see PlaybackParams::accumBlockIntervals).
+struct RunPartial {
+  std::vector<util::WeightedMean> receiverMiss;
+  std::vector<util::OnlineStats> receiverLatency;
+  std::vector<double> receiverUnavailableSeconds;
+  std::vector<std::size_t> receiverProblematic;
+  util::WeightedMean missAllMean;
+  util::WeightedMean missKMean;
+  util::OnlineStats costStats;
+  double unavailableAllSeconds = 0.0;
+  std::size_t problematicIntervals = 0;
+  std::vector<ProblematicInterval> problems;
+  /// Receiver 0's arrival per interval where delivery is possible
+  /// (PlaybackParams::collectIntervalLatencies only).
+  std::vector<double> intervalLatenciesUs;
+
+  /// Sizes the per-receiver accumulators (idempotent).
+  void resize(std::size_t receiverCount);
+  /// Folds a partial covering the range immediately *after* this one.
+  void merge(RunPartial&& later);
+};
+
+/// One interval's evaluation. Hoisted outside the scoring loop (the
+/// vectors keep their capacity across intervals).
+struct IntervalEval {
+  std::vector<double> miss;            ///< per receiver
+  std::vector<util::SimTime> arrival;  ///< per receiver, kNever = none
+  double missAll = 0.0;                ///< P(some receiver misses)
+  double missK = 0.0;                  ///< P(fewer than k on time)
+  double cost = 0.0;
+  bool monteCarlo = false;  ///< the lossy path actually sampled
+};
+
+/// What one scoring pass evaluates, and how its telemetry is labeled.
+struct EvalSpec {
+  graph::NodeId source = graph::kInvalidNode;
+  /// Borrowed; must outlive the step. A unicast flow is {destination}.
+  std::span<const graph::NodeId> receivers;
+  /// Parallel to `receivers`.
+  std::vector<util::SimTime> deadlines;
+  /// Delivered-to-k bar; 0 (or >= receiver count) means all receivers.
+  std::size_t deliveredK = 0;
+  /// The scheme kind folded into the Monte-Carlo stream seed (a group
+  /// scheme's unicast equivalent, so one receiver draws unicast's stream).
+  routing::SchemeKind seedKind{};
+  std::string label;  ///< metric label value
+  std::string_view schemeName;
+  ReplayMetricNames metrics;
+};
+
+/// ReplayCore::score's evaluation step. It evaluates each interval the
+/// clean-interval cache does not serve -- per-receiver misses on the
+/// deterministic near-lossless path (group lines by inclusion-exclusion
+/// and the delivered-to-k Poisson-binomial DP), or the per-sample
+/// delivered-count histogram under Monte-Carlo over the interval's own
+/// RNG stream -- and adds every interval's evaluation to a RunPartial.
+class EvalStep {
+ public:
+  EvalStep(const PlaybackParams& params, EvalSpec spec);
+
+  const EvalSpec& spec() const { return spec_; }
+
+  void evaluateInterval(std::size_t t, const graph::DisseminationGraph& dg,
+                        std::span<const double> lossRates,
+                        std::span<const util::SimTime> latencies,
+                        IntervalEval& eval, StageClock& clock);
+  void accumulate(RunPartial& acc, std::size_t t, const IntervalEval& eval,
+                  double intervalSeconds) const;
+
+ private:
+  const PlaybackParams& params_;
+  EvalSpec spec_;
+  std::size_t kBar_;
+  DeliveryWorkspace workspace_;
+  // Monte-Carlo tallies and the delivered-to-k DP row, sized once so
+  // per-interval work never allocates.
+  std::vector<int> onTimeCounts_;
+  std::vector<int> deliveredHistogram_;
+  std::vector<double> dp_;
+};
+
+// The per-interval methods are defined here, not in replay.cpp, so they
+// inline into ReplayCore::score's loop: out of line, the unicast-week and
+// mcast-groups benchmark workloads ran measurably slower.
+inline void EvalStep::evaluateInterval(
+    std::size_t t, const graph::DisseminationGraph& dg,
+    std::span<const double> lossRates,
+    std::span<const util::SimTime> latencies, IntervalEval& eval,
+    StageClock& clock) {
+  const std::size_t n = spec_.receivers.size();
+  eval.miss.resize(n);  // no-op after the first interval
+  eval.arrival.resize(n);
+  // Stage buckets: the deterministic evaluation (and its group
+  // accounting) is "memo", the Monte-Carlo one "mc".
+  clock.start();
+  if (nearLossless(dg, lossRates, params_.lossEpsilon)) {
+    missGroupNearLossless(dg, spec_.receivers, spec_.deadlines, lossRates,
+                          latencies, params_.delivery, workspace_, eval.miss,
+                          eval.arrival);
+    eval.monteCarlo = false;
+    // Group accounting under per-receiver independence (residual misses
+    // live on near-disjoint earliest paths; shared hops make this an
+    // upper bound on the delivered-to-all probability gap): P(some
+    // receiver misses) via incremental inclusion-exclusion.
+    double missAll = eval.miss[0];
+    for (std::size_t r = 1; r < n; ++r)
+      missAll = missAll + eval.miss[r] - missAll * eval.miss[r];
+    eval.missAll = missAll;
+    if (kBar_ == n) {
+      eval.missK = missAll;
+    } else {
+      // Poisson-binomial tail: dp[c] = P(exactly c receivers on time)
+      // after the receivers folded so far.
+      std::fill(dp_.begin(), dp_.end(), 0.0);
+      dp_[0] = 1.0;
+      for (std::size_t r = 0; r < n; ++r) {
+        const double q = 1.0 - eval.miss[r];
+        for (std::size_t c = r + 1; c >= 1; --c)
+          dp_[c] = dp_[c] * eval.miss[r] + dp_[c - 1] * q;
+        dp_[0] *= eval.miss[r];
+      }
+      double atLeastK = 0.0;
+      for (std::size_t c = kBar_; c <= n; ++c) atLeastK += dp_[c];
+      eval.missK = 1.0 - atLeastK;
+    }
+    clock.stop(clock.memoNs);
+  } else {
+    // The stream folds in every receiver (in order) and the seed kind, so
+    // a single-receiver group draws the stream of its unicast equivalent.
+    util::Rng rng(intervalSeed(params_.seed, spec_.source, spec_.receivers,
+                               spec_.seedKind, t));
+    onTimeCountsMCGroup(dg, spec_.receivers, spec_.deadlines, lossRates,
+                        latencies, params_.delivery, params_.mcSamples, rng,
+                        workspace_, onTimeCounts_, deliveredHistogram_);
+    const auto samples = static_cast<double>(params_.mcSamples);
+    for (std::size_t r = 0; r < n; ++r)
+      eval.miss[r] = 1.0 - static_cast<double>(onTimeCounts_[r]) / samples;
+    int deliveredAtLeastK = 0;
+    for (std::size_t c = kBar_; c <= n; ++c)
+      deliveredAtLeastK += deliveredHistogram_[c];
+    eval.missAll = 1.0 - static_cast<double>(deliveredHistogram_[n]) / samples;
+    eval.missK = 1.0 - static_cast<double>(deliveredAtLeastK) / samples;
+    clock.stop(clock.mcNs);
+    groupCleanArrivals(dg, latencies, spec_.receivers, workspace_,
+                       eval.arrival);
+    eval.monteCarlo = true;
+  }
+  eval.cost = static_cast<double>(dg.cost(latencies));
+}
+
+inline void EvalStep::accumulate(RunPartial& acc, std::size_t t,
+                                 const IntervalEval& eval,
+                                 double intervalSeconds) const {
+  const std::size_t n = spec_.receivers.size();
+  acc.resize(n);  // no-op once sized
+  for (std::size_t r = 0; r < n; ++r) {
+    acc.receiverMiss[r].add(eval.miss[r], 1.0);
+    if (eval.arrival[r] != util::kNever)
+      acc.receiverLatency[r].add(static_cast<double>(eval.arrival[r]));
+    acc.receiverUnavailableSeconds[r] += eval.miss[r] * intervalSeconds;
+    if (eval.miss[r] > params_.problematicThreshold)
+      ++acc.receiverProblematic[r];
+  }
+  if (params_.collectIntervalLatencies && eval.arrival[0] != util::kNever) {
+    acc.intervalLatenciesUs.push_back(  // dgcheck: ok(R5): opt-in interval-latency capture; amortized push on the diagnostic path
+        static_cast<double>(eval.arrival[0]));
+  }
+  acc.missAllMean.add(eval.missAll, 1.0);
+  acc.missKMean.add(eval.missK, 1.0);
+  acc.costStats.add(eval.cost);
+  acc.unavailableAllSeconds += eval.missAll * intervalSeconds;
+  if (eval.missAll > params_.problematicThreshold) {
+    ++acc.problematicIntervals;
+    acc.problems.push_back(  // dgcheck: ok(R5): bounded by problematic intervals; diagnostic record with amortized growth
+        ProblematicInterval{t, eval.missAll});
+  }
+}
+
 
 class ReplayCore {
  public:
@@ -233,9 +415,9 @@ class ReplayCore {
   /// partials of B-aligned ranges merged in ascending order reproduce one
   /// pass over their union bit for bit.
   // dgcheck: hot
-  template <typename Scheme, typename Step>
-  typename Step::Partial score(Scheme& scheme, Step& step,
-                               const ScoreSpec& spec) const {
+  template <typename Scheme>
+  RunPartial score(Scheme& scheme, EvalStep& step,
+                   const ScoreSpec& spec) const {
     if (spec.historyStart > spec.first || spec.first > spec.last ||
         spec.last > trace_->intervalCount())
       throw std::out_of_range(std::string(spec.caller) + ": bad range");
@@ -265,19 +447,19 @@ class ReplayCore {
         lastSelectedEdges = decision.dg->edges();
         haveSelected = true;
       }
-      const std::string label = step.label();
-      scheme.setTelemetry(telemetry, label);
+      const EvalSpec& target = step.spec();
+      scheme.setTelemetry(telemetry, target.label);
+      const ReplayMetricNames& names = target.metrics;
       const telemetry::Labels labels{
-          {Step::kMetrics.labelKey, label},
-          {"scheme", std::string(step.schemeName())}};
+          {names.labelKey, target.label},
+          {"scheme", std::string(target.schemeName)}};
       telemetry::MetricsRegistry& metrics = telemetry->metrics;
-      intervalsCounter = &metrics.counter(Step::kMetrics.intervals, labels);
-      mcIntervalsCounter =
-          &metrics.counter(Step::kMetrics.mcIntervals, labels);
-      mcSamplesCounter = &metrics.counter(Step::kMetrics.mcSamples, labels);
-      switchCounter = &metrics.counter(Step::kMetrics.graphSwitches, labels);
-      missHistogram = &metrics.histogram(Step::kMetrics.missHistogram, 0.0,
-                                         1.0, 20, labels);
+      intervalsCounter = &metrics.counter(names.intervals, labels);
+      mcIntervalsCounter = &metrics.counter(names.mcIntervals, labels);
+      mcSamplesCounter = &metrics.counter(names.mcSamples, labels);
+      switchCounter = &metrics.counter(names.graphSwitches, labels);
+      missHistogram =
+          &metrics.histogram(names.missHistogram, 0.0, 1.0, 20, labels);
     }
 
     // Steady fast path: while the scheme is at its clean fixed point and
@@ -289,10 +471,10 @@ class ReplayCore {
         params_.conditionCursor && telemetry == nullptr &&
         spec.reuseCleanEvals;
 
-    typename Step::Partial total;
-    typename Step::Partial block;
+    RunPartial total;
+    RunPartial block;
     const std::size_t blockLen = params_.accumBlockIntervals;
-    typename Step::Partial* const acc = blockLen > 0 ? &block : &total;
+    RunPartial* const acc = blockLen > 0 ? &block : &total;
     const double intervalSeconds = util::toSeconds(trace_->intervalLength());
 
     // Run-local reuse: when the interval is clean and the scheme returns
@@ -300,8 +482,8 @@ class ReplayCore {
     // short-circuits the edge-list comparison: it is reset on every actual
     // select()/fold, so pointer equality implies the selection was not
     // touched since the cache was filled.
-    typename Step::Eval eval;
-    typename Step::Eval cachedEval;
+    IntervalEval eval;
+    IntervalEval cachedEval;
     std::vector<graph::EdgeId> cachedEdges;
     bool cacheValid = false;
     const graph::DisseminationGraph* cachedDg = nullptr;
@@ -329,8 +511,9 @@ class ReplayCore {
           switchCounter->inc();
           telemetry->trace.record(
               telemetry->now, telemetry::TraceEventKind::GraphSwitch, -1,
-              step.source(), -1, static_cast<double>(dg.edges().size()),
-              std::string(step.schemeName()));
+              step.spec().source, -1,
+              static_cast<double>(dg.edges().size()),
+              std::string(step.spec().schemeName));
         }
         lastSelectedEdges = dg.edges();
         haveSelected = true;
@@ -368,10 +551,13 @@ class ReplayCore {
           mcSamplesCounter->inc(static_cast<std::uint64_t>(params_.mcSamples));
         }
       }
+      // The observed miss is the delivered-to-all one (a flow's miss).
       if (intervalsCounter != nullptr) {
         intervalsCounter->inc();
-        missHistogram->observe(step.observedMiss(eval));
+        missHistogram->observe(eval.missAll);
       }
+      if (spec.missTimeline != nullptr)
+        spec.missTimeline->push_back(eval.missAll);  // dgcheck: ok(R5): diagnostic miss-timeline output; absent in benchmark runs
       step.accumulate(*acc, t, eval, intervalSeconds);
     }
     if (blockLen > 0) {
@@ -470,10 +656,9 @@ class ReplayCore {
 
   /// Folds the finished accumulation block into `total` and empties it.
   // dgcheck: cold: runs once per accumulation block, not per interval
-  template <typename Partial>
-  static void foldBlock(Partial& total, Partial& block) {
+  static void foldBlock(RunPartial& total, RunPartial& block) {
     total.merge(std::move(block));
-    block = Partial{};
+    block = RunPartial{};
   }
 
   /// Smallest interval t >= fromInterval whose decision view (t -

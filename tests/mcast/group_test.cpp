@@ -83,6 +83,9 @@ TEST(Group, ParseGroupSpecRejectsBadInput) {
   EXPECT_THROW(parseGroupSpec("NYC:NYC", topology), std::invalid_argument);
   EXPECT_THROW(parseGroupSpec("NYC:SJC+SJC", topology),
                std::invalid_argument);
+  EXPECT_THROW(parseGroupSpec("NYC:SJC+", topology), std::invalid_argument);
+  EXPECT_THROW(parseGroupSpec("NYC:SJC+LAX+", topology),
+               std::invalid_argument);
 }
 
 TEST(Group, ParseGroupListSplitsOnCommas) {

@@ -1,7 +1,9 @@
 // Golden equivalence: the optimized playback hot path (condition-timeline
-// cursor, reusable delivery workspaces, decision/evaluation memos) must
-// produce results and telemetry *byte-identical* to the legacy path and
-// to the frozen reference evaluators, at any thread count.
+// cursor, reusable delivery workspaces, decision memo) must produce
+// results and telemetry *byte-identical* to legacy replay (per-interval
+// vector materialization, every select() run), its per-interval misses
+// must equal the frozen reference evaluators run on the selection in
+// force, and everything must hold at any thread count.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -9,6 +11,7 @@
 #include "playback/delivery_model.hpp"
 #include "playback/experiment.hpp"
 #include "playback/playback.hpp"
+#include "routing/scheme.hpp"
 #include "routing/targeted_graphs.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/telemetry.hpp"
@@ -102,10 +105,14 @@ TEST_F(GoldenEquivalence, DecisionMemoOnOffByteIdentical) {
   EXPECT_EQ(tOn, tOff);
 }
 
+// Replay only: legacy replay materializes every interval's conditions
+// into owned vectors and runs select() on every interval; both arms run
+// the same evaluation step (the evaluators are pinned against the
+// frozen references by MissTimelineMatchesReferenceEvaluators).
 TEST_F(GoldenEquivalence, CursorVsLegacyByteIdentical) {
   playback::PlaybackParams legacy = params_;
   legacy.decisionMemo = false;
-  legacy.conditionCursor = false;  // reference evaluators, owned vectors
+  legacy.conditionCursor = false;  // legacy replay, owned vectors
   const auto [rOpt, tOpt] = runAll(params_);
   const auto [rLegacy, tLegacy] = runAll(legacy);
   ASSERT_EQ(rOpt.size(), rLegacy.size());
@@ -115,13 +122,14 @@ TEST_F(GoldenEquivalence, CursorVsLegacyByteIdentical) {
   EXPECT_EQ(tOpt, tLegacy);
 }
 
-// With telemetry detached the cursor path may elide select() calls
-// across clean steady spans (RoutingScheme::steadyOnBaseline). A
-// deviation burst followed by a long clean tail is the adversarial
-// shape: the targeted scheme's hold-down counters drain inside the
-// tail, and a premature "steady" verdict would freeze the expensive
-// targeted graph for the rest of the run (visible as an averageCost
-// mismatch against the legacy path, which never elides).
+// With telemetry detached cursor replay may elide select() calls across
+// clean steady spans (RoutingScheme::steadyOnBaseline). A deviation
+// burst followed by a long clean tail is the adversarial shape: the
+// targeted scheme's hold-down counters drain inside the tail, and a
+// premature "steady" verdict would freeze the expensive targeted graph
+// for the rest of the run (visible as an averageCost mismatch against
+// legacy replay, which never elides). Both arms run the same evaluation
+// step, so this compares the two replays only.
 TEST(SteadyFastPath, MatchesLegacyWithoutTelemetry) {
   const auto topology = trace::Topology::ltn12();
   const graph::Graph& g = topology.graph();
@@ -176,6 +184,8 @@ TEST_F(GoldenEquivalence, ThreadCountInvariant) {
             telemetry::toJson(tel4.metrics));
 }
 
+// Legacy replay vs cursor replay, interval by interval: the miss
+// timelines of the two replays must agree bit for bit.
 TEST_F(GoldenEquivalence, MissTimelineMatchesAcrossModes) {
   playback::PlaybackParams legacy = params_;
   legacy.decisionMemo = false;
@@ -194,6 +204,50 @@ TEST_F(GoldenEquivalence, MissTimelineMatchesAcrossModes) {
       EXPECT_EQ(a[t], b[t]) << "interval " << t;
     }
   }
+}
+
+// The engine-level reference oracle: for every flow x scheme x interval,
+// the miss the playback step scored equals the frozen reference evaluator
+// run on the selection the decision replay has in force at that interval
+// (ReplayCore::selectionAt) under the interval's true conditions -- the
+// near-lossless reference on deterministic intervals, 1 - the
+// Monte-Carlo reference on the interval's own RNG stream otherwise.
+TEST_F(GoldenEquivalence, MissTimelineMatchesReferenceEvaluators) {
+  const graph::Graph& g = topology_.graph();
+  const playback::PlaybackEngine engine(g, trace_, params_);
+  const playback::ReplayCore core(g, trace_, params_, "reference oracle");
+  const std::size_t n = trace_.intervalCount();
+  std::size_t monteCarlo = 0;
+  for (const routing::Flow flow : flows_) {
+    for (const routing::SchemeKind kind : routing::allSchemeKinds()) {
+      const std::vector<double> timeline =
+          engine.missTimeline(flow, kind, {}, 0, n);
+      ASSERT_EQ(timeline.size(), n);
+      for (std::size_t t = 0; t < n; ++t) {
+        const auto scheme = routing::makeScheme(kind, g, flow, {});
+        const graph::DisseminationGraph& dg = core.selectionAt(*scheme, t);
+        const std::vector<double> losses = trace_.lossRatesAt(t);
+        const std::vector<util::SimTime> latencies = trace_.latenciesAt(t);
+        double expected = 0.0;
+        if (playback::nearLossless(dg, losses, params_.lossEpsilon)) {
+          expected = playback::missProbabilityNearLosslessReference(
+              dg, losses, latencies, params_.delivery);
+        } else {
+          ++monteCarlo;
+          util::Rng rng(playback::intervalSeed(
+              params_.seed, flow.source, {&flow.destination, 1}, kind, t));
+          expected = 1.0 - playback::onTimeProbabilityMCReference(
+                               dg, losses, latencies, params_.delivery,
+                               params_.mcSamples, rng);
+        }
+        EXPECT_EQ(timeline[t], expected)
+            << routing::schemeName(kind) << " flow " << flow.source << "->"
+            << flow.destination << " interval " << t;
+      }
+    }
+  }
+  EXPECT_GT(monteCarlo, 0u)
+      << "fixture never exercised the Monte-Carlo path";
 }
 
 TEST(DeliveryEquivalence, OptimizedEvaluatorsMatchReference) {
