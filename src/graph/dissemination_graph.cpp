@@ -59,7 +59,7 @@ bool DisseminationGraph::connectsFlow() const {
 }
 
 std::vector<util::SimTime> DisseminationGraph::earliestArrival(
-    std::span<const util::SimTime> weights) const {
+    std::span<const util::SimTime> weights, std::span<EdgeId> via) const {
   std::vector<util::SimTime> dist(graph_->nodeCount(), util::kNever);
   using Entry = std::pair<util::SimTime, NodeId>;
   std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue;
@@ -76,6 +76,7 @@ std::vector<util::SimTime> DisseminationGraph::earliestArrival(
       const util::SimTime nd = d + w;
       if (nd < dist[v]) {
         dist[v] = nd;
+        if (!via.empty()) via[v] = id;
         queue.push({nd, v});
       }
     }
@@ -88,46 +89,32 @@ util::SimTime DisseminationGraph::latencyToDestination(
   return earliestArrival(weights)[destination_];
 }
 
-// dgcheck: cold: runs once per evaluated interval; the clean-interval reuse cache serves steady-state intervals without reaching it
+// dgcheck: cold: figure benches and tests; the playback step counts the cost off its own earliest-arrival run through the (weights, arrival, via) overload
 int DisseminationGraph::cost(std::span<const util::SimTime> weights) const {
-  // Determine each node's first-arrival predecessor under `weights`; the
-  // no-echo rule suppresses the transmission back to that predecessor.
-  std::vector<util::SimTime> dist(graph_->nodeCount(), util::kNever);
-  std::vector<NodeId> pred(graph_->nodeCount(), kInvalidNode);
-  using Entry = std::pair<util::SimTime, NodeId>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue;
-  dist[source_] = 0;
-  queue.push({0, source_});
-  while (!queue.empty()) {
-    const auto [d, u] = queue.top();
-    queue.pop();
-    if (d > dist[u]) continue;
-    for (const EdgeId id : outEdges_[u]) {
-      const util::SimTime w = weights[id];
-      if (w == util::kNever) continue;
-      const NodeId v = graph_->edge(id).to;
-      const util::SimTime nd = d + w;
-      if (nd < dist[v]) {
-        dist[v] = nd;
-        pred[v] = u;
-        queue.push({nd, v});
-      }
-    }
-  }
+  std::vector<EdgeId> via(graph_->nodeCount(), kInvalidEdge);
+  const std::vector<util::SimTime> arrival = earliestArrival(weights, via);
+  return cost(weights, arrival, via);
+}
+
+int DisseminationGraph::cost(std::span<const util::SimTime> weights,
+                             std::span<const util::SimTime> arrival,
+                             std::span<const EdgeId> via) const {
   int transmissions = 0;
   for (NodeId u = 0; u < graph_->nodeCount(); ++u) {
-    if (dist[u] == util::kNever) continue;  // node never receives the packet
+    if (arrival[u] == util::kNever) continue;  // never receives the packet
+    // The no-echo rule suppresses the transmission back to the node the
+    // first copy arrived from.
+    const NodeId sender =
+        u == source_ ? kInvalidNode : graph_->edge(via[u]).from;
     for (const EdgeId id : outEdges_[u]) {
-      if (weights[id] == util::kNever) continue;
-      const NodeId v = graph_->edge(id).to;
-      if (u != source_ && v == pred[u]) continue;  // no-echo suppression
-      ++transmissions;
+      if (weights[id] != util::kNever && graph_->edge(id).to != sender)
+        ++transmissions;
     }
   }
   return transmissions;
 }
 
-// dgcheck: cold: base-latency overload for reports and tests; the scoring path calls cost(weights), which shares this name
+// dgcheck: cold: base-latency overload for reports and tests
 int DisseminationGraph::cost() const {
   const auto weights = graph_->baseLatencies();
   return cost(weights);

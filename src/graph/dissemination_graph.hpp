@@ -59,9 +59,12 @@ class DisseminationGraph {
   /// Earliest arrival time at every node when the packet leaves the
   /// source at t=0 and each member edge e delivers after weights[e]
   /// (util::kNever = edge currently unusable). Unreached nodes get
-  /// util::kNever.
+  /// util::kNever. When given, `via` (sized to the node count) receives
+  /// the member edge each reached non-source node's first copy came in
+  /// on; nodes are settled in (time, node) order.
   std::vector<util::SimTime> earliestArrival(
-      std::span<const util::SimTime> weights) const;
+      std::span<const util::SimTime> weights,
+      std::span<EdgeId> via = {}) const;
 
   /// Earliest arrival at the destination; util::kNever if unreachable.
   util::SimTime latencyToDestination(
@@ -78,6 +81,13 @@ class DisseminationGraph {
   /// determined by the given weights). This is the paper's cost metric
   /// (edge traversals per packet).
   int cost(std::span<const util::SimTime> weights) const;
+  /// The same count read off a finished earliest-arrival run under
+  /// `weights` (arrival and via as earliestArrival fills them). Any run
+  /// that settles nodes in (time, node) order and relaxes strictly gives
+  /// the same via.
+  int cost(std::span<const util::SimTime> weights,
+           std::span<const util::SimTime> arrival,
+           std::span<const EdgeId> via) const;
 
   /// Cost under the overlay's base latencies.
   int cost() const;

@@ -22,9 +22,9 @@ std::string jsonEscape(std::string_view text) {
 }
 
 /// The selection `scheme` has in force at request.interval, replayed by
-/// the playback engines' own decision core.
+/// a lookup in the timeline of the playback engines' own decision pass.
 template <typename Scheme>
-const graph::DisseminationGraph& replaySelect(
+graph::DisseminationGraph replaySelect(
     Scheme& scheme, const graph::Graph& overlay, const trace::Trace& trace,
     const GraphDumpRequest& request) {
   playback::PlaybackParams params;
@@ -111,7 +111,7 @@ std::string dumpUnicastGraph(const graph::Graph& overlay,
                              const GraphDumpRequest& request) {
   validateRequest(trace, request);
   auto scheme = routing::makeScheme(kind, overlay, flow, schemeParams);
-  const graph::DisseminationGraph& dg =
+  const graph::DisseminationGraph dg =
       replaySelect(*scheme, overlay, trace, request);
   const graph::NodeId receivers[] = {flow.destination};
   return request.format == DumpFormat::kDot
@@ -128,7 +128,7 @@ std::string dumpGroupGraph(const graph::Graph& overlay,
                            const GraphDumpRequest& request) {
   validateRequest(trace, request);
   auto scheme = makeGroupScheme(kind, overlay, group, schemeParams);
-  const graph::DisseminationGraph& dg =
+  const graph::DisseminationGraph dg =
       replaySelect(*scheme, overlay, trace, request);
   return request.format == DumpFormat::kDot
              ? renderDot(dg, topology, group.source, group.receivers)

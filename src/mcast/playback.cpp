@@ -36,12 +36,12 @@ GroupSchemeResult GroupPlaybackEngine::runRange(
     const routing::SchemeParams& schemeParams, std::size_t first,
     std::size_t last, telemetry::Telemetry* telemetry) const {
   const playback::ScoreSpec spec{.caller = "GroupPlaybackEngine::runRange",
-                                 .historyStart = first,
                                  .first = first,
                                  .last = last,
                                  .telemetry = telemetry};
-  return finalizePartial(group, kind,
-                         replay(group, kind, schemeParams, spec));
+  const playback::SelectionTimeline timeline =
+      decide(group, kind, schemeParams, first, spec);
+  return finalizePartial(group, kind, score(group, kind, timeline, spec));
 }
 
 // dgcheck: hot
@@ -51,37 +51,50 @@ GroupRunPartial GroupPlaybackEngine::runChunkPartial(
     std::size_t last, trace::ConditionSource* decisionSource,
     trace::ConditionSource* truthSource,
     telemetry::Telemetry* telemetry) const {
-  const playback::ScoreSpec spec{
-      .caller = "GroupPlaybackEngine::runChunkPartial",
-      .first = first,
-      .last = last,
-      .decisionSource = decisionSource,
-      .truthSource = truthSource,
-      .telemetry = telemetry};
-  return replay(group, kind, schemeParams, spec);
+  // dgcheck: setup begin
+  const char* caller = "GroupPlaybackEngine::runChunkPartial";
+  const playback::SelectionTimeline timeline =
+      decide(group, kind, schemeParams, 0,
+             {caller, first, last, decisionSource, telemetry});
+  // dgcheck: setup end
+  return score(group, kind, timeline,
+               {caller, first, last, truthSource, telemetry});
 }
 
-GroupRunPartial GroupPlaybackEngine::replay(
+// dgcheck: cold: one decision pass per job, before any interval is scored
+playback::SelectionTimeline GroupPlaybackEngine::decide(
     const Group& group, GroupSchemeKind kind,
-    const routing::SchemeParams& schemeParams,
+    const routing::SchemeParams& schemeParams, std::size_t from,
     const playback::ScoreSpec& spec) const {
-  // dgcheck: setup begin
   auto scheme = makeGroupScheme(kind, core_.overlay(), group, schemeParams);
   if (params_.base.decisionMemo) scheme->attachDecisionMemo(&decisionMemo_);
+  return core_.decide(*scheme, from, spec, evalSpec(group, kind));
+}
+
+// dgcheck: hot
+GroupRunPartial GroupPlaybackEngine::score(
+    const Group& group, GroupSchemeKind kind,
+    const playback::SelectionTimeline& timeline,
+    const playback::ScoreSpec& spec) const {
+  // dgcheck: setup begin
+  playback::EvalStep step(params_.base, evalSpec(group, kind));
+  // dgcheck: setup end
+  return core_.score(timeline, step, spec);
+}
+
+playback::EvalSpec GroupPlaybackEngine::evalSpec(const Group& group,
+                                                 GroupSchemeKind kind) const {
   std::vector<util::SimTime> deadlines(group.receivers.size());
   for (std::size_t r = 0; r < deadlines.size(); ++r)
     deadlines[r] = receiverDeadline(group, r, params_.base.delivery.deadline);
-  playback::EvalStep step(params_.base,
-                          {.source = group.source,
-                           .receivers = group.receivers,
-                           .deadlines = std::move(deadlines),
-                           .deliveredK = params_.deliveredK,
-                           .seedKind = unicastEquivalent(kind),
-                           .label = groupLabel(group),
-                           .schemeName = groupSchemeName(kind),
-                           .metrics = kGroupMetrics});
-  // dgcheck: setup end
-  return core_.score(*scheme, step, spec);
+  return {.source = group.source,
+          .receivers = group.receivers,
+          .deadlines = std::move(deadlines),
+          .deliveredK = params_.deliveredK,
+          .seedKind = unicastEquivalent(kind),
+          .label = groupLabel(group),
+          .schemeName = groupSchemeName(kind),
+          .metrics = kGroupMetrics};
 }
 
 GroupSchemeResult GroupPlaybackEngine::finalizePartial(

@@ -1,11 +1,12 @@
 // Group playback: replays a condition trace for one receiver set under
 // one group scheme. The replay and the evaluation step -- decision
-// staleness, warm-up, steady fast path, blocked accumulation, per-receiver
-// miss/latency plus group-level delivered-to-all and delivered-to-k
-// accounting -- are playback::ReplayCore and playback::EvalStep, the same
-// core and step the unicast engine runs (a unicast flow is the
-// one-receiver group); this engine builds the step from the group and
-// the group scheme and reads the result record out of the partial.
+// staleness, the decision pass and its selection timeline, blocked
+// accumulation, per-receiver miss/latency plus group-level
+// delivered-to-all and delivered-to-k accounting -- are
+// playback::ReplayCore and playback::EvalStep, the same core and step the
+// unicast engine runs (a unicast flow is the one-receiver group); this
+// engine builds the group scheme and the step and reads the result record
+// out of the partial.
 //
 // A single-receiver group is bit-identical to the unicast engine run of
 // the scheme's unicastEquivalent() for every scheme pair (pinned by
@@ -88,15 +89,23 @@ class GroupPlaybackEngine {
                              telemetry::Telemetry* telemetry = nullptr) const;
 
   /// Chunk-parallel building block, with the same contract as
-  /// PlaybackEngine::runChunkPartial (warm-up replay over [0, first) with
-  /// steady-span jumps, worker-private condition sources, GraphSwitch
-  /// continuity).
+  /// PlaybackEngine::runChunkPartial (decisions over [0, last), scoring
+  /// over [first, last), worker-private condition sources).
   GroupRunPartial runChunkPartial(
       const Group& group, GroupSchemeKind kind,
       const routing::SchemeParams& schemeParams, std::size_t first,
       std::size_t last, trace::ConditionSource* decisionSource,
       trace::ConditionSource* truthSource,
       telemetry::Telemetry* telemetry = nullptr) const;
+
+  /// The two passes of a run, as PlaybackEngine::decide/score.
+  playback::SelectionTimeline decide(const Group& group, GroupSchemeKind kind,
+                                     const routing::SchemeParams& schemeParams,
+                                     std::size_t from,
+                                     const playback::ScoreSpec& spec) const;
+  GroupRunPartial score(const Group& group, GroupSchemeKind kind,
+                        const playback::SelectionTimeline& timeline,
+                        const playback::ScoreSpec& spec) const;
 
   /// Converts a fully merged partial into the result record.
   GroupSchemeResult finalizePartial(const Group& group, GroupSchemeKind kind,
@@ -119,9 +128,8 @@ class GroupPlaybackEngine {
   void addStageMergeNs(std::uint64_t ns) const { core_.addMergeNs(ns); }
 
  private:
-  GroupRunPartial replay(const Group& group, GroupSchemeKind kind,
-                         const routing::SchemeParams& schemeParams,
-                         const playback::ScoreSpec& spec) const;
+  /// The step and telemetry labels of `group` (receivers borrow it).
+  playback::EvalSpec evalSpec(const Group& group, GroupSchemeKind kind) const;
 
   GroupPlaybackParams params_;
   playback::ReplayCore core_;

@@ -21,7 +21,7 @@ std::string renderGroupSummaryTable(const GroupExperimentResult& result,
       << " days, " << groupCount << " groups\n";
   out << padRight("scheme", 22) << padLeft("unavail_all", 13)
       << padLeft("unavail_k", 13) << padLeft("unavail_s", 12)
-      << padLeft("problem_ivls", 14) << padLeft("worst_rcvr", 12)
+      << padLeft("problem_ivls", 14) << padLeft("worst_rcvr", 13)
       << padLeft("avg_cost", 10) << '\n';
   for (const GroupSchemeSummary& s : result.summary) {
     out << padRight(std::string(groupSchemeName(s.scheme)), 22)
@@ -31,7 +31,7 @@ std::string renderGroupSummaryTable(const GroupExperimentResult& result,
         << padLeft(std::to_string(s.problematicIntervals), 14)
         << padLeft(formatFixed(s.worstReceiverUnavailability * 1e6, 1) +
                        "ppm",
-                   12)
+                   13)
         << padLeft(formatFixed(s.averageCost, 2), 10) << '\n';
   }
   return out.str();

@@ -79,9 +79,7 @@ namespace {
 
 /// Dynamic group schemes: one unicast sub-scheme per receiver, serving
 /// the union of their current selections. The union is rebuilt only when
-/// some sub-selection actually changed, so steady spans keep returning
-/// the same DisseminationGraph object (which the playback engine's
-/// clean-eval reuse keys on).
+/// some sub-selection actually changed.
 class SubUnionScheme : public GroupScheme {
  public:
   SubUnionScheme(GroupSchemeKind kind, const graph::Graph& overlay,
@@ -99,12 +97,12 @@ class SubUnionScheme : public GroupScheme {
 
   std::string_view name() const override { return groupSchemeName(kind_); }
 
-  // dgcheck: cold: runs once per (group, scheme, chunk) task before interval playback
+  // dgcheck: cold: runs once per decision pass, before its first select
   void initialize(const routing::NetworkView& baselineView) override {
-    // The extra select() after initialize() is a fixed-point no-op for
-    // every unicast scheme (the cached schemes hit the fingerprint fast
-    // path; targeted re-derives the identical classification), so the
-    // per-interval selections match a unicast engine run exactly.
+    // The extra select() on the baseline leaves no state behind in any
+    // unicast scheme (the cached schemes hit the fingerprint fast path;
+    // targeted finds no problem and holds nothing), so the per-interval
+    // selections match a unicast engine run exactly.
     for (std::size_t i = 0; i < subs_.size(); ++i) {
       subs_[i]->initialize(baselineView);
       subEdges_[i] = subs_[i]->select(baselineView).edges();
@@ -112,7 +110,7 @@ class SubUnionScheme : public GroupScheme {
     rebuildUnion();
   }
 
-  // dgcheck: cold: decision path; steady-state selects are fixed-point no-ops on every sub-scheme
+  // dgcheck: cold: decision pass, once per job ahead of scoring; the union is rebuilt only when a sub-selection changes
   const graph::DisseminationGraph& select(
       const routing::NetworkView& view) override {
     bool changed = false;
@@ -125,11 +123,6 @@ class SubUnionScheme : public GroupScheme {
     }
     if (changed) rebuildUnion();
     return union_;
-  }
-
-  bool steadyOnBaseline() const override {
-    return std::all_of(subs_.begin(), subs_.end(),
-                       [](const auto& sub) { return sub->steadyOnBaseline(); });
   }
 
   void setTelemetry(telemetry::Telemetry* telemetry,
@@ -179,7 +172,7 @@ class StaticUnionScheme : public GroupScheme {
 
   std::string_view name() const override { return groupSchemeName(kind_); }
 
-  // dgcheck: cold: runs once per (group, scheme, chunk) task before interval playback
+  // dgcheck: cold: runs once per decision pass, before its first select
   void initialize(const routing::NetworkView& baselineView) override {
     std::vector<routing::SchemeParams> perReceiver;
     for (std::size_t i = 0; i < group_.receivers.size(); ++i) {
@@ -208,9 +201,6 @@ class StaticUnionScheme : public GroupScheme {
     return union_;
   }
 
-  // Like the unicast static schemes, select() never mutates state, so the
-  // baseline is trivially a fixed point.
-  bool steadyOnBaseline() const override { return true; }
 
  private:
   GroupSchemeKind kind_;
@@ -219,7 +209,7 @@ class StaticUnionScheme : public GroupScheme {
 
 }  // namespace
 
-// dgcheck: cold: once-per-(group, scheme, chunk) factory, runs before interval playback starts
+// dgcheck: cold: scheme factory; runs once per decision pass
 std::unique_ptr<GroupScheme> makeGroupScheme(GroupSchemeKind kind,
                                              const graph::Graph& overlay,
                                              const Group& group,

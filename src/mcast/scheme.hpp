@@ -58,9 +58,6 @@ class GroupScheme {
   /// stays valid until the next select() on this scheme.
   virtual const graph::DisseminationGraph& select(
       const routing::NetworkView& view) = 0;
-  /// True when selecting against the healthy baseline is a fixed point,
-  /// letting the playback engine skip re-selection on clean intervals.
-  virtual bool steadyOnBaseline() const { return false; }
 
   virtual void setTelemetry(telemetry::Telemetry* telemetry,
                             std::string groupLabel);

@@ -18,10 +18,9 @@ struct ExperimentConfig {
   /// Per-flow active windows for open-loop fleet workloads. Empty =
   /// every flow scores the whole trace (the historical behavior).
   /// Otherwise must parallel `flows` with a non-empty clamped window per
-  /// flow. Windowed jobs roll routing-decision state forward over the
-  /// pre-window history exactly like the packed runner's chunk warm-up,
-  /// so the two runners agree bit for bit when their accumulation block
-  /// lengths match.
+  /// flow. Windowed jobs are decided over the pre-window history too,
+  /// in both runners, so the two agree bit for bit when their
+  /// accumulation block lengths match.
   std::vector<FlowWindow> flowWindows;
   std::vector<routing::SchemeKind> schemes = routing::allSchemeKinds();
   routing::SchemeParams schemeParams;
@@ -91,20 +90,19 @@ ExperimentResult runExperiment(const graph::Graph& overlay,
                                telemetry::Telemetry* telemetry = nullptr);
 
 /// Chunk-parallel variant of runExperiment over a packed dgtrace file:
-/// the work unit is (flow, scheme, chunk) rather than (flow, scheme), so
-/// a sweep saturates cores even with a single flow/scheme. Each worker
-/// thread opens its own PackedTraceReader and feeds its cursors from
-/// private PackedConditionSources (decode state is never shared); decision
-/// state is rolled forward per chunk via the schemes' steadyOnBaseline()
-/// fast path. PlaybackParams::accumBlockIntervals is forced to the
-/// container's chunk length, so the
-/// per-job fold of chunk partials (done in ascending chunk order)
-/// reproduces the single-threaded blocked run bit for bit at any thread
-/// count. Telemetry follows the runExperiment discipline: per-task
-/// private instruments, merged sequentially in task order -- metric
-/// exports are byte-identical for any `threads` (chunk boundaries reset
-/// trace-event dedup, so *event* streams differ from the unchunked
-/// runner's, deterministically).
+/// the scoring unit is (flow, scheme, chunk) rather than (flow, scheme),
+/// so a sweep saturates cores even with a single flow/scheme. Each
+/// (flow, scheme) job is decided once, and its chunks are scored from
+/// that job's selection timeline (see sweep.hpp). Each worker thread
+/// opens its own PackedTraceReader and feeds its cursor from a private
+/// PackedConditionSource (decode state is never shared).
+/// PlaybackParams::accumBlockIntervals is forced to the container's chunk
+/// length, so the per-job fold of chunk partials (done in ascending chunk
+/// order) reproduces the single-threaded blocked run bit for bit at any
+/// thread count. Telemetry follows the runExperiment discipline:
+/// per-task private instruments, merged sequentially in job order --
+/// metric and trace exports are byte-identical for any `threads`, and
+/// equal to the in-memory runner's.
 ///
 /// When config.memoCachePath is non-empty, the decision-memo sidecar is
 /// loaded (validated against the trace's content fingerprint; a bad file

@@ -35,27 +35,27 @@ FlowSchemeResult PlaybackEngine::runRange(
     const routing::SchemeParams& schemeParams, std::size_t first,
     std::size_t last, telemetry::Telemetry* telemetry) const {
   const ScoreSpec spec{.caller = "PlaybackEngine::runRange",
-                       .historyStart = first,
                        .first = first,
                        .last = last,
                        .telemetry = telemetry};
-  return finalizePartial(flow, kind, replay(flow, kind, schemeParams, spec));
+  const SelectionTimeline timeline =
+      decide(flow, kind, schemeParams, first, spec);
+  return finalizePartial(flow, kind, score(flow, kind, timeline, spec));
 }
 
 std::vector<double> PlaybackEngine::missTimeline(
     routing::Flow flow, routing::SchemeKind kind,
     const routing::SchemeParams& schemeParams, std::size_t first,
     std::size_t last) const {
-  std::vector<double> timeline;
-  timeline.reserve(last > first ? last - first : 0);
+  std::vector<double> misses;
+  misses.reserve(last > first ? last - first : 0);
   const ScoreSpec spec{.caller = "PlaybackEngine::missTimeline",
-                       .historyStart = first,
                        .first = first,
                        .last = last,
                        .reuseCleanEvals = false,
-                       .missTimeline = &timeline};
-  replay(flow, kind, schemeParams, spec);
-  return timeline;
+                       .missTimeline = &misses};
+  score(flow, kind, decide(flow, kind, schemeParams, first, spec), spec);
+  return misses;
 }
 
 // dgcheck: hot
@@ -65,35 +65,49 @@ RunPartial PlaybackEngine::runChunkPartial(
     std::size_t last, trace::ConditionSource* decisionSource,
     trace::ConditionSource* truthSource,
     telemetry::Telemetry* telemetry) const {
-  const ScoreSpec spec{.caller = "PlaybackEngine::runChunkPartial",
-                       .first = first,
-                       .last = last,
-                       .decisionSource = decisionSource,
-                       .truthSource = truthSource,
-                       .telemetry = telemetry};
-  return replay(flow, kind, schemeParams, spec);
+  // dgcheck: setup begin
+  const char* caller = "PlaybackEngine::runChunkPartial";
+  const SelectionTimeline timeline =
+      decide(flow, kind, schemeParams, 0,
+             {caller, first, last, decisionSource, telemetry});
+  // dgcheck: setup end
+  return score(flow, kind, timeline,
+               {caller, first, last, truthSource, telemetry});
 }
 
-RunPartial PlaybackEngine::replay(routing::Flow flow, routing::SchemeKind kind,
-                                  const routing::SchemeParams& schemeParams,
-                                  const ScoreSpec& spec) const {
-  // dgcheck: setup begin
+// dgcheck: cold: one decision pass per job, before any interval is scored
+SelectionTimeline PlaybackEngine::decide(
+    routing::Flow flow, routing::SchemeKind kind,
+    const routing::SchemeParams& schemeParams, std::size_t from,
+    const ScoreSpec& spec) const {
   auto scheme = routing::makeScheme(kind, core_.overlay(), flow, schemeParams);
   if (params().decisionMemo) {
     scheme->setDecisionMemo(
         &decisionMemo_, decisionMemo_.contextKey(kind, flow, schemeParams));
   }
-  EvalStep step(params(),
-                {.source = flow.source,
-                 .receivers = {&flow.destination, 1},
-                 .deadlines = {params().delivery.deadline},
-                 .seedKind = kind,
-                 .label = std::to_string(flow.source) + "->" +
-                          std::to_string(flow.destination),
-                 .schemeName = routing::schemeName(kind),
-                 .metrics = kFlowMetrics});
+  return core_.decide(*scheme, from, spec, evalSpec(flow, kind));
+}
+
+// dgcheck: hot
+RunPartial PlaybackEngine::score(routing::Flow flow, routing::SchemeKind kind,
+                                 const SelectionTimeline& timeline,
+                                 const ScoreSpec& spec) const {
+  // dgcheck: setup begin
+  EvalStep step(params(), evalSpec(flow, kind));
   // dgcheck: setup end
-  return core_.score(*scheme, step, spec);
+  return core_.score(timeline, step, spec);
+}
+
+EvalSpec PlaybackEngine::evalSpec(const routing::Flow& flow,
+                                  routing::SchemeKind kind) const {
+  return {.source = flow.source,
+          .receivers = {&flow.destination, 1},
+          .deadlines = {params().delivery.deadline},
+          .seedKind = kind,
+          .label = std::to_string(flow.source) + "->" +
+                   std::to_string(flow.destination),
+          .schemeName = routing::schemeName(kind),
+          .metrics = kFlowMetrics};
 }
 
 FlowSchemeResult PlaybackEngine::finalizePartial(routing::Flow flow,

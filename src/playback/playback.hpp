@@ -18,13 +18,15 @@
 // playback::ReplayCore and playback::EvalStep (replay.hpp), shared with
 // the group engine -- a flow is scored as the one-receiver group
 // {source, {destination}, {deadline}} and its result is read from
-// receiver 0. Replay is driven by trace::ConditionTimeline cursors
-// (O(changes) per interval, zero allocation) handing out fingerprinted
-// borrowed NetworkViews; routing decisions are memoized across jobs in an
-// engine-owned, exact-keyed, internally synchronized memo. Evaluations
-// are never memoized across jobs -- each Monte-Carlo interval draws from
-// its own deterministic RNG stream -- so results are bit-identical with
-// the memo and cursor on or off.
+// receiver 0. Every run is two passes: decide() records the scheme's
+// selections as a SelectionTimeline, and score() evaluates a range of
+// it with no scheme object. Replay is driven by trace::ConditionTimeline
+// cursors (O(changes) per interval, zero allocation) handing out
+// fingerprinted borrowed NetworkViews; routing decisions are memoized
+// across jobs in an engine-owned, exact-keyed, internally synchronized
+// memo. Evaluations are never memoized across jobs -- each Monte-Carlo
+// interval draws from its own deterministic RNG stream -- so results are
+// bit-identical with the memo and cursor on or off.
 #pragma once
 
 #include <cstdint>
@@ -96,28 +98,36 @@ class PlaybackEngine {
                                    const routing::SchemeParams& schemeParams,
                                    std::size_t first, std::size_t last) const;
 
-  /// Chunk-parallel building block: replays [first, last) and returns the
-  /// partial accumulation, after rolling the scheme's decision state
-  /// forward over [0, first) exactly as a full run would (telemetry
-  /// detached, clean steady spans skipped in O(log deviations) via the
-  /// schemes' steadyOnBaseline() fixed-point contract). `decisionSource`
-  /// and `truthSource` (nullable -> replay from the in-memory trace) let
-  /// each worker cursor over its own PackedConditionSource so no decode
-  /// state is shared across threads.
+  /// Chunk-parallel building block: decides [0, last) exactly as a full
+  /// run would (telemetry attached from `first`), then scores [first,
+  /// last) and returns the partial accumulation. `decisionSource` and
+  /// `truthSource` (nullable -> replay from the in-memory trace) let each
+  /// worker cursor over its own PackedConditionSource so no decode state
+  /// is shared across threads; the two passes never overlap, so one
+  /// source may serve both. A sweep calls decide() once per job and
+  /// score() per chunk instead.
   ///
   /// With params().accumBlockIntervals == B > 0 and chunks aligned to B,
   /// merging the partials of a run's chunks in ascending order yields the
   /// same bits as runRange over the union -- at any thread count.
-  /// `telemetry` (nullable) collects this range's counters/events; chunk
-  /// boundaries reset the per-run "last classification" trace-event
-  /// dedup, so chunked trace *event* streams can differ from unchunked
-  /// ones (counters and results do not).
+  /// `telemetry` (nullable) collects this range's counters and events.
   RunPartial runChunkPartial(routing::Flow flow, routing::SchemeKind kind,
                              const routing::SchemeParams& schemeParams,
                              std::size_t first, std::size_t last,
                              trace::ConditionSource* decisionSource,
                              trace::ConditionSource* truthSource,
                              telemetry::Telemetry* telemetry = nullptr) const;
+
+  /// Pass 1 (ReplayCore::decide): `flow`'s decisions over [from,
+  /// spec.last) under a fresh `kind` scheme, observed over spec's range.
+  SelectionTimeline decide(routing::Flow flow, routing::SchemeKind kind,
+                           const routing::SchemeParams& schemeParams,
+                           std::size_t from, const ScoreSpec& spec) const;
+  /// Pass 2 (ReplayCore::score): scores a range of a timeline decide()
+  /// made for the same flow and kind.
+  RunPartial score(routing::Flow flow, routing::SchemeKind kind,
+                   const SelectionTimeline& timeline,
+                   const ScoreSpec& spec) const;
 
   /// Converts a fully merged partial into the result record (receiver 0
   /// is the destination).
@@ -149,10 +159,8 @@ class PlaybackEngine {
   void addStageMergeNs(std::uint64_t ns) const { core_.addMergeNs(ns); }
 
  private:
-  /// One scoring pass of `flow` under a fresh scheme.
-  RunPartial replay(routing::Flow flow, routing::SchemeKind kind,
-                    const routing::SchemeParams& schemeParams,
-                    const ScoreSpec& spec) const;
+  /// The step and telemetry labels of `flow` (receivers borrow `flow`).
+  EvalSpec evalSpec(const routing::Flow& flow, routing::SchemeKind kind) const;
 
   ReplayCore core_;
 

@@ -53,6 +53,27 @@ void RunPartial::merge(RunPartial&& later) {
   appendInOrder(intervalLatenciesUs, std::move(later.intervalLatenciesUs));
 }
 
+// dgcheck: cold: allocates only when a run starts -- once per selection change, and once per distinct selection for its edge list
+bool SelectionTimeline::append(std::size_t t,
+                               const graph::DisseminationGraph& dg) {
+  if (!runs.empty() && selections[runs.back().selection] == dg.edges())
+    return false;
+  const auto known =
+      std::find(selections.begin(), selections.end(), dg.edges());
+  runs.push_back({t, static_cast<std::size_t>(known - selections.begin())});
+  if (known == selections.end()) selections.push_back(dg.edges());
+  source = dg.source();
+  destination = dg.destination();
+  return true;
+}
+
+graph::DisseminationGraph SelectionTimeline::graph(
+    const graph::Graph& overlay, std::size_t index) const {
+  graph::DisseminationGraph dg(overlay, source, destination);
+  for (const graph::EdgeId e : selections[index]) dg.addEdge(e);
+  return dg;
+}
+
 EvalStep::EvalStep(const PlaybackParams& params, EvalSpec spec)
     : params_(params),
       spec_(std::move(spec)),
@@ -76,21 +97,6 @@ ReplayCore::ReplayCore(const graph::Graph& overlay, const trace::Trace& trace,
                                 ": trace edge count does not match overlay");
   if (params.viewStaleness < 0)
     throw std::invalid_argument(std::string(owner) + ": negative staleness");
-  for (std::size_t t = 0; t < trace.intervalCount(); ++t) {
-    if (trace.hasDeviation(t)) deviatingIntervals_.push_back(t);
-  }
-}
-
-std::size_t ReplayCore::nextDeviatingDecision(std::size_t fromInterval) const {
-  // The decision at t sees interval t - staleness, so the first candidate
-  // deviation is at view interval max(fromInterval, staleness) -
-  // staleness.
-  const std::size_t fromView =
-      fromInterval > staleness_ ? fromInterval - staleness_ : 0;
-  const auto it = std::lower_bound(deviatingIntervals_.begin(),
-                                   deviatingIntervals_.end(), fromView);
-  if (it == deviatingIntervals_.end()) return trace_->intervalCount();
-  return std::max(fromInterval, *it + staleness_);
 }
 
 }  // namespace dg::playback

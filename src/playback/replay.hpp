@@ -5,15 +5,21 @@
 // stream: the decision for interval t sees the view of interval
 // t - staleness (the healthy baseline until the scheme has history to
 // look at), and the selection is then evaluated under interval t's true
-// conditions. ReplayCore owns every part of that replay that does not
-// depend on what is being scored: range checks, cursors over an optional
-// ConditionSource, the warm-up roll-forward with its steady-span jump,
-// the per-interval decision step (cursor and legacy mode), GraphSwitch
-// continuity, accumulation-block folds, the clean-interval reuse cache
-// and the optional miss timeline. EvalStep scores one interval's send
-// against a receiver set -- a unicast flow is the one-receiver case --
-// and adds it to a RunPartial; the engines are drivers that build the
-// step and read their result records out of the merged partial.
+// conditions. The decisions depend only on the views, never on the
+// scoring, so a run is two passes. ReplayCore::decide runs a scheme once
+// over a range, calling select() on every interval, and records a
+// run-length SelectionTimeline: the first interval of each run of equal
+// selections and the sorted edge list of each distinct selection. It
+// also records the decisions' telemetry: the scheme's classifications
+// and a GraphSwitch at every run start after the decision start.
+// ReplayCore::score then scores any sub-range of that timeline with no
+// scheme at all: range checks, a cursor over an optional ConditionSource,
+// accumulation-block folds, the clean-interval reuse cache (keyed by
+// selection) and the optional miss timeline. EvalStep scores one
+// interval's send against a receiver set -- a unicast flow is the
+// one-receiver case -- and adds it to a RunPartial; the engines are
+// drivers that build the scheme and the step and read their result
+// records out of the merged partial.
 #pragma once
 
 #include <algorithm>
@@ -157,19 +163,14 @@ struct ReplayMetricNames {
   const char* missHistogram;
 };
 
-/// One scoring pass: decisions start from a freshly initialized scheme
-/// at `historyStart`, [historyStart, first) is replayed for decision
-/// state only (telemetry detached), and [first, last) is scored. runRange
-/// passes historyStart == first; chunk partials pass 0 so their decision
-/// state matches a full run's.
+/// One pass over [first, last): scoring it from a SelectionTimeline that
+/// covers it, or deciding what scoring it needs (ReplayCore::decide).
 struct ScoreSpec {
   const char* caller = "";  ///< names the entry point in range errors
-  std::size_t historyStart = 0;
   std::size_t first = 0;
   std::size_t last = 0;
   /// Nullable: cursor over the engine's in-memory trace instead.
-  trace::ConditionSource* decisionSource = nullptr;
-  trace::ConditionSource* truthSource = nullptr;
+  trace::ConditionSource* source = nullptr;
   telemetry::Telemetry* telemetry = nullptr;
   /// Reuse the evaluation of a clean interval while the selected graph
   /// is unchanged (including Monte-Carlo ones -- identical inputs,
@@ -179,6 +180,31 @@ struct ScoreSpec {
   /// Nullable: receives every scored interval's delivered-to-all miss (a
   /// unicast flow's miss probability).
   std::vector<double>* missTimeline = nullptr;
+};
+
+/// The decisions of one (flow or group, scheme) pass, run-length coded.
+/// Selections are stored as edge lists: a DisseminationGraph is canonical
+/// in its edge set (addEdge keeps every list sorted), so graph() rebuilds
+/// the scheme's graph exactly.
+struct SelectionTimeline {
+  struct Run {
+    std::size_t start = 0;      ///< the run's first interval
+    std::size_t selection = 0;  ///< index into `selections`
+  };
+  std::size_t first = 0;  ///< decision start
+  std::size_t last = 0;   ///< one past the last decided interval
+  graph::NodeId source = graph::kInvalidNode;
+  graph::NodeId destination = graph::kInvalidNode;
+  std::vector<Run> runs;  ///< ascending starts; runs[0].start == first
+  /// Distinct selections, sorted edge lists in first-use order.
+  std::vector<std::vector<graph::EdgeId>> selections;
+
+  /// Records interval t's selection (t ascending, one call per
+  /// interval); returns whether it starts a new run.
+  bool append(std::size_t t, const graph::DisseminationGraph& dg);
+  /// Selection `index` as a graph over `overlay`.
+  graph::DisseminationGraph graph(const graph::Graph& overlay,
+                                  std::size_t index) const;
 };
 
 /// Deterministic per-(source, receivers, scheme, interval) Monte-Carlo
@@ -258,6 +284,11 @@ struct EvalSpec {
   std::string label;  ///< metric label value
   std::string_view schemeName;
   ReplayMetricNames metrics;
+
+  /// {metrics.labelKey=label, scheme=schemeName}.
+  telemetry::Labels metricLabels() const {
+    return {{metrics.labelKey, label}, {"scheme", std::string(schemeName)}};
+  }
 };
 
 /// ReplayCore::score's evaluation step. It evaluates each interval the
@@ -357,7 +388,10 @@ inline void EvalStep::evaluateInterval(
                        eval.arrival);
     eval.monteCarlo = true;
   }
-  eval.cost = static_cast<double>(dg.cost(latencies));
+  // Both evaluations above leave the clean earliest-arrival run under
+  // `latencies` in the workspace; the cost is counted off it.
+  eval.cost = static_cast<double>(
+      dg.cost(latencies, workspace_.dist, workspace_.via));
 }
 
 inline void EvalStep::accumulate(RunPartial& acc, std::size_t t,
@@ -408,68 +442,113 @@ class ReplayCore {
       stageTimings_.mergeNs.fetch_add(ns, std::memory_order_relaxed);
   }
 
-  /// Scores spec's range with `scheme` (already memo-attached, not yet
-  /// initialized) and `step`. With accumBlockIntervals == B > 0,
-  /// per-interval statistics fold into blocks at absolute boundaries
-  /// (t % B == 0), where the clean-reuse cache is also reset -- so
-  /// partials of B-aligned ranges merged in ascending order reproduce one
-  /// pass over their union bit for bit.
-  // dgcheck: hot
+  /// Pass 1: initializes `scheme` (memo-attached, not yet initialized)
+  /// and selects on every interval of [from, spec.last) -- on the
+  /// baseline view while the scheme has no history or the view of
+  /// t - staleness is clean, otherwise on that view. Over spec's range,
+  /// the scheme's classifications and every GraphSwitch (a run start
+  /// after `from`) are recorded under `target`'s labels, so a job's trace
+  /// events come in the order its decisions were made; decisions before
+  /// it only build up state.
   template <typename Scheme>
-  RunPartial score(Scheme& scheme, EvalStep& step,
-                   const ScoreSpec& spec) const {
-    if (spec.historyStart > spec.first || spec.first > spec.last ||
+  SelectionTimeline decide(Scheme& scheme, std::size_t from,
+                           const ScoreSpec& spec,
+                           const EvalSpec& target) const {
+    if (from > spec.first || spec.first > spec.last ||
         spec.last > trace_->intervalCount())
       throw std::out_of_range(std::string(spec.caller) + ": bad range");
     // dgcheck: setup begin
     const routing::NetworkView baselineView =
         routing::NetworkView::baseline(*trace_);
     scheme.initialize(baselineView);
-    trace::ConditionTimeline decisionCursor = cursorOver(spec.decisionSource);
-    trace::ConditionTimeline truthCursor = cursorOver(spec.truthSource);
-    Decision decision{&baselineView, &decisionCursor,
-                      spec.historyStart + staleness_};
-    rollForward(scheme, decision, spec.historyStart, spec.first);
-    decision.steady = false;
+    trace::ConditionTimeline cursor = cursorOver(spec.source);
+    telemetry::Telemetry* const telemetry = spec.telemetry;
+    telemetry::Counter* switchCounter = nullptr;
+    if (telemetry != nullptr) {
+      switchCounter = &telemetry->metrics.counter(target.metrics.graphSwitches,
+                                                  target.metricLabels());
+    }
+    SelectionTimeline timeline;
+    timeline.first = from;
+    timeline.last = spec.last;
+    StageClock clock(params_.collectStageTimings);
+    // dgcheck: setup end
+    for (std::size_t t = from; t < spec.last; ++t) {
+      if (telemetry != nullptr) {
+        if (t == spec.first) scheme.setTelemetry(telemetry, target.label);
+        telemetry->now =
+            static_cast<util::SimTime>(t) * trace_->intervalLength();
+      }
+      const graph::DisseminationGraph* dg = nullptr;
+      if (t < from + staleness_ || !trace_->hasDeviation(t - staleness_)) {
+        clock.start();
+        dg = &scheme.select(baselineView);
+        clock.stop(clock.memoNs);
+      } else {
+        const std::size_t viewInterval = t - staleness_;
+        clock.start();
+        if (params_.conditionCursor) cursor.seek(viewInterval);
+        const routing::NetworkView view =
+            params_.conditionCursor
+                ? routing::NetworkView::borrowing(
+                      cursor, conditionIndex_.contentId(viewInterval))
+                : routing::NetworkView::atInterval(*trace_, viewInterval);
+        clock.stop(clock.decodeNs);
+        clock.start();
+        dg = &scheme.select(view);
+        clock.stop(clock.memoNs);
+      }
+      if (timeline.append(t, *dg) && telemetry != nullptr &&
+          t >= spec.first && t > from) {
+        switchCounter->inc();
+        telemetry->trace.record(telemetry->now,
+                                telemetry::TraceEventKind::GraphSwitch, -1,
+                                target.source, -1,
+                                static_cast<double>(dg->edges().size()),
+                                std::string(target.schemeName));
+      }
+    }
+    clock.flush(stageTimings_);
+    return timeline;
+  }
+
+  /// Pass 2: scores spec's range of `timeline` with `step`. With
+  /// accumBlockIntervals == B > 0, per-interval statistics fold into
+  /// blocks at absolute boundaries (t % B == 0), where the clean-reuse
+  /// cache is also reset -- so partials of B-aligned ranges merged in
+  /// ascending order reproduce one pass over their union bit for bit.
+  // dgcheck: hot
+  RunPartial score(const SelectionTimeline& timeline, EvalStep& step,
+                   const ScoreSpec& spec) const {
+    if (spec.first > spec.last || spec.first < timeline.first ||
+        spec.last > timeline.last)
+      throw std::out_of_range(std::string(spec.caller) + ": bad range");
+    // dgcheck: setup begin
+    trace::ConditionTimeline truthCursor = cursorOver(spec.source);
+    std::vector<graph::DisseminationGraph> graphs;
+    graphs.reserve(timeline.selections.size());
+    for (std::size_t i = 0; i < timeline.selections.size(); ++i)
+      graphs.push_back(timeline.graph(*overlay_, i));
+    std::size_t run = 0;  // the run in force at spec.first
+    while (run + 1 < timeline.runs.size() &&
+           timeline.runs[run + 1].start <= spec.first)
+      ++run;
 
     telemetry::Telemetry* const telemetry = spec.telemetry;
-    // GraphSwitch continuity: a chunk's first interval compares against
-    // the selection in force at the end of its warm-up.
-    std::vector<graph::EdgeId> lastSelectedEdges;
-    bool haveSelected = false;
     telemetry::Counter* intervalsCounter = nullptr;
     telemetry::Counter* mcIntervalsCounter = nullptr;
     telemetry::Counter* mcSamplesCounter = nullptr;
-    telemetry::Counter* switchCounter = nullptr;
     telemetry::HistogramMetric* missHistogram = nullptr;
     if (telemetry != nullptr) {
-      if (decision.dg != nullptr) {
-        lastSelectedEdges = decision.dg->edges();
-        haveSelected = true;
-      }
-      const EvalSpec& target = step.spec();
-      scheme.setTelemetry(telemetry, target.label);
-      const ReplayMetricNames& names = target.metrics;
-      const telemetry::Labels labels{
-          {names.labelKey, target.label},
-          {"scheme", std::string(target.schemeName)}};
+      const ReplayMetricNames& names = step.spec().metrics;
+      const telemetry::Labels labels = step.spec().metricLabels();
       telemetry::MetricsRegistry& metrics = telemetry->metrics;
       intervalsCounter = &metrics.counter(names.intervals, labels);
       mcIntervalsCounter = &metrics.counter(names.mcIntervals, labels);
       mcSamplesCounter = &metrics.counter(names.mcSamples, labels);
-      switchCounter = &metrics.counter(names.graphSwitches, labels);
       missHistogram =
           &metrics.histogram(names.missHistogram, 0.0, 1.0, 20, labels);
     }
-
-    // Steady fast path: while the scheme is at its clean fixed point and
-    // the decision view stays on baseline, select() calls are provably
-    // no-ops and may be skipped -- but only when nobody can observe them:
-    // telemetry counts classifications per call, and passes without
-    // clean reuse must evaluate every interval fresh.
-    const bool fastPathOk =
-        params_.conditionCursor && telemetry == nullptr &&
-        spec.reuseCleanEvals;
 
     RunPartial total;
     RunPartial block;
@@ -477,16 +556,13 @@ class ReplayCore {
     RunPartial* const acc = blockLen > 0 ? &block : &total;
     const double intervalSeconds = util::toSeconds(trace_->intervalLength());
 
-    // Run-local reuse: when the interval is clean and the scheme returns
-    // the same graph as last time, the evaluation is unchanged. `cachedDg`
-    // short-circuits the edge-list comparison: it is reset on every actual
-    // select()/fold, so pointer equality implies the selection was not
-    // touched since the cache was filled.
+    // Run-local reuse: when the interval is clean and the selection is
+    // the one whose clean evaluation is cached, the evaluation is
+    // unchanged.
+    constexpr std::size_t kNoSelection = static_cast<std::size_t>(-1);
     IntervalEval eval;
     IntervalEval cachedEval;
-    std::vector<graph::EdgeId> cachedEdges;
-    bool cacheValid = false;
-    const graph::DisseminationGraph* cachedDg = nullptr;
+    std::size_t cachedSelection = kNoSelection;
     // Legacy (non-cursor) mode materializes each interval's conditions.
     std::vector<double> lossBuffer;
     std::vector<util::SimTime> latencyBuffer;
@@ -497,32 +573,16 @@ class ReplayCore {
         clock.start();
         foldBlock(total, block);
         clock.stop(clock.mergeNs);
-        cacheValid = false;
-        cachedDg = nullptr;
+        cachedSelection = kNoSelection;
       }
-      if (telemetry != nullptr) {
-        telemetry->now =
-            static_cast<util::SimTime>(t) * trace_->intervalLength();
-      }
-      if (decide(scheme, decision, t, fastPathOk, clock)) cachedDg = nullptr;
-      const graph::DisseminationGraph& dg = *decision.dg;
-      if (telemetry != nullptr) {
-        if (haveSelected && dg.edges() != lastSelectedEdges) {
-          switchCounter->inc();
-          telemetry->trace.record(
-              telemetry->now, telemetry::TraceEventKind::GraphSwitch, -1,
-              step.spec().source, -1,
-              static_cast<double>(dg.edges().size()),
-              std::string(step.spec().schemeName));
-        }
-        lastSelectedEdges = dg.edges();
-        haveSelected = true;
-      }
+      if (run + 1 < timeline.runs.size() && timeline.runs[run + 1].start <= t)
+        ++run;
+      const std::size_t selection = timeline.runs[run].selection;
+      const graph::DisseminationGraph& dg = graphs[selection];
 
       // --- Outcome under the interval's true conditions ----------------
       const bool clean = !trace_->hasDeviation(t);
-      if (spec.reuseCleanEvals && clean && cacheValid &&
-          (&dg == cachedDg || dg.edges() == cachedEdges)) {
+      if (spec.reuseCleanEvals && clean && selection == cachedSelection) {
         eval = cachedEval;
       } else {
         std::span<const double> lossRates;
@@ -541,10 +601,8 @@ class ReplayCore {
         clock.stop(clock.decodeNs);
         step.evaluateInterval(t, dg, lossRates, latencies, eval, clock);
         if (spec.reuseCleanEvals && clean) {
-          cachedEdges = dg.edges();
           cachedEval = eval;
-          cacheValid = true;
-          cachedDg = &dg;
+          cachedSelection = selection;
         }
         if (eval.monteCarlo && mcIntervalsCounter != nullptr) {
           mcIntervalsCounter->inc();
@@ -570,84 +628,20 @@ class ReplayCore {
   }
 
   /// The selection `scheme` (not yet initialized) has in force at
-  /// `interval`, reproduced by the same decision replay a scoring pass
-  /// runs over [0, interval].
+  /// `interval`: a lookup in the timeline of a decision pass over
+  /// [0, interval].
   template <typename Scheme>
-  const graph::DisseminationGraph& selectionAt(Scheme& scheme,
-                                               std::size_t interval) const {
-    if (interval >= trace_->intervalCount())
-      throw std::out_of_range("ReplayCore::selectionAt: bad interval");
-    const routing::NetworkView baselineView =
-        routing::NetworkView::baseline(*trace_);
-    scheme.initialize(baselineView);
-    trace::ConditionTimeline cursor(*trace_);
-    Decision decision{&baselineView, &cursor, staleness_};
-    rollForward(scheme, decision, 0, interval + 1);
-    return *decision.dg;
+  graph::DisseminationGraph selectionAt(Scheme& scheme,
+                                        std::size_t interval) const {
+    const SelectionTimeline timeline = decide(
+        scheme, 0,
+        {.caller = "ReplayCore::selectionAt", .first = interval,
+         .last = interval + 1},
+        EvalSpec{});
+    return timeline.graph(*overlay_, timeline.runs.back().selection);
   }
 
  private:
-  /// Decision state carried across intervals.
-  struct Decision {
-    const routing::NetworkView* baselineView = nullptr;
-    trace::ConditionTimeline* cursor = nullptr;
-    /// Intervals below this are decided on the baseline view regardless
-    /// of trace content (the scheme cannot have observed anything yet).
-    std::size_t warmupUntil = 0;
-    const graph::DisseminationGraph* dg = nullptr;
-    /// The last select() was on baseline and left the scheme at its
-    /// clean fixed point (RoutingScheme::steadyOnBaseline()).
-    bool steady = false;
-  };
-
-  /// The decision step for interval t: selects on the view of
-  /// t - staleness, or on the baseline view when the scheme has no
-  /// history yet or that view is clean -- skipping the baseline select
-  /// when `skipSteady` and the scheme is steady. Returns whether select()
-  /// ran.
-  template <typename Scheme>
-  bool decide(Scheme& scheme, Decision& d, std::size_t t, bool skipSteady,
-              StageClock& clock) const {
-    const std::size_t staleness = staleness_;
-    if (t < d.warmupUntil || !trace_->hasDeviation(t - staleness)) {
-      if (d.steady && skipSteady) return false;
-      clock.start();
-      d.dg = &scheme.select(*d.baselineView);
-      d.steady = scheme.steadyOnBaseline();
-      clock.stop(clock.memoNs);
-      return true;
-    }
-    const std::size_t viewInterval = t - staleness;
-    clock.start();
-    if (params_.conditionCursor) d.cursor->seek(viewInterval);
-    const routing::NetworkView view =
-        params_.conditionCursor
-            ? routing::NetworkView::borrowing(
-                  *d.cursor, conditionIndex_.contentId(viewInterval))
-            : routing::NetworkView::atInterval(*trace_, viewInterval);
-    clock.stop(clock.decodeNs);
-    clock.start();
-    d.dg = &scheme.select(view);
-    clock.stop(clock.memoNs);
-    d.steady = false;
-    return true;
-  }
-
-  /// Warm-up: runs the decision step over [from, until) with telemetry
-  /// detached, jumping clean steady spans straight to the next interval
-  /// whose decision view deviates (the skipped selects are fixed-point
-  /// no-ops, so nothing observable changes).
-  template <typename Scheme>
-  void rollForward(Scheme& scheme, Decision& d, std::size_t from,
-                   std::size_t until) const {
-    StageClock untimed(false);
-    std::size_t t = from;
-    while (t < until) {
-      decide(scheme, d, t, false, untimed);
-      t = d.steady ? nextDeviatingDecision(t + 1) : t + 1;
-    }
-  }
-
   /// A cursor over `source`, or over the in-memory trace when null.
   trace::ConditionTimeline cursorOver(trace::ConditionSource* source) const {
     return source != nullptr ? trace::ConditionTimeline(*source)
@@ -661,18 +655,11 @@ class ReplayCore {
     block = RunPartial{};
   }
 
-  /// Smallest interval t >= fromInterval whose decision view (t -
-  /// staleness) carries a deviation; trace end if none. O(log
-  /// deviations) via the sorted deviation list built at construction.
-  std::size_t nextDeviatingDecision(std::size_t fromInterval) const;
-
   const graph::Graph* overlay_;
   const trace::Trace* trace_;
   PlaybackParams params_;
   std::size_t staleness_;
   trace::ConditionIndex conditionIndex_;
-  /// Sorted intervals that deviate from baseline (for steady-span jumps).
-  std::vector<std::size_t> deviatingIntervals_;
   mutable StageTimings stageTimings_;
 };
 

@@ -1,15 +1,20 @@
 // The sweep scheduler shared by the unicast and group experiment runners.
 //
-// A sweep scores every (entity, scheme) job of a config, entity-major.
-// Each job splits into (job, chunk) tasks over fixed chunk geometry --
-// one chunk spanning the trace for the in-memory runners, the container's
-// chunks for the packed ones -- clamped to the entity's active window.
-// Workers claim tasks in index order, replay them through the engine's
-// runChunkPartial over worker-private condition sources, and record into
-// per-task private telemetry; after the join, each job's partials are
-// folded in ascending chunk order and the task telemetry is merged in
-// task order. Results are therefore bit-identical, and metric exports
-// byte-identical, at any thread count.
+// A sweep scores every (entity, scheme) job of a config, entity-major, in
+// two phases. Phase 1 runs one decision task per job: the engine's
+// decide() over [0, window end), observed from the window start, records
+// the job's SelectionTimeline. Phase 2 splits each job into (job, chunk)
+// scoring tasks over fixed chunk geometry -- one chunk spanning the trace
+// for the in-memory runners, the container's chunks for the packed ones
+// -- clamped to the entity's active window, each scoring its range of the
+// shared timeline through the engine's score(). In both phases workers
+// claim tasks in index order, cursor over one worker-private condition
+// source, and record into per-task private telemetry. After the join,
+// each job's partials are folded in ascending chunk order, and the
+// telemetry is merged job by job: the decision task's, then the job's
+// chunk tasks' in chunk order. Results are therefore bit-identical, and
+// metric and trace exports byte-identical, at any thread count and chunk
+// geometry.
 #pragma once
 
 #include <algorithm>
@@ -105,14 +110,13 @@ auto runSweep(const Engine& engine, const std::vector<Entity>& entities,
               const routing::SchemeParams& schemeParams,
               const std::vector<IntervalRange>& windows,
               const SweepLayout& layout, telemetry::Telemetry* telemetry) {
-  using Partial = decltype(engine.runChunkPartial(
-      entities[0], schemes[0], schemeParams, 0, 0, nullptr, nullptr));
   using Result = decltype(engine.finalizePartial(entities[0], schemes[0],
-                                                 std::declval<Partial>()));
+                                                 std::declval<RunPartial>()));
   const std::size_t schemeCount = schemes.size();
   const std::size_t jobs = entities.size() * schemeCount;
   const std::size_t tasks = jobs * layout.chunkCount;
-  std::vector<Partial> partials(tasks);
+  std::vector<SelectionTimeline> timelines(jobs);
+  std::vector<RunPartial> partials(tasks);
 
   SweepOutcome<Result> out;
   out.threads = layout.threads != 0 ? layout.threads
@@ -120,67 +124,77 @@ auto runSweep(const Engine& engine, const std::vector<Entity>& entities,
   out.threads = std::max(
       1u, std::min<unsigned>(out.threads, static_cast<unsigned>(tasks)));
 
-  // One private Telemetry per task: workers never share an instrument.
+  // One private Telemetry per task, laid out job by job (the decision
+  // task, then the chunk tasks): workers never share an instrument, and
+  // merging in slot order is merging in job order.
+  const std::size_t slotsPerJob = layout.chunkCount + 1;
   std::vector<std::unique_ptr<telemetry::Telemetry>> taskTelemetry;
   if (telemetry != nullptr) {
-    taskTelemetry.resize(tasks);
+    taskTelemetry.resize(jobs * slotsPerJob);
     for (auto& t : taskTelemetry)
       t = std::make_unique<telemetry::Telemetry>(telemetry->trace.capacity());
   }
-
-  std::atomic<std::size_t> next{0};
-  const auto worker = [&] {
-    // Worker-private feeds over the packed trace, so chunk decode state is
-    // never shared across threads. Two sources because the decision cursor
-    // lags the truth cursor by the view staleness, so near a chunk
-    // boundary they sit in different chunks. None for in-memory replay.
-    std::optional<store::PackedTraceReader> reader;
-    std::optional<store::PackedConditionSource> decision;
-    std::optional<store::PackedConditionSource> truth;
-    if (!layout.packedPath.empty()) {
-      reader.emplace(store::PackedTraceReader::open(layout.packedPath));
-      decision.emplace(*reader);
-      truth.emplace(*reader);
-    }
-    for (;;) {
-      const std::size_t task = next.fetch_add(1);
-      if (task >= tasks) return;
-      const std::size_t job = task / layout.chunkCount;
-      const std::size_t chunkFirst =
-          task % layout.chunkCount * layout.chunkIntervals;
-      // Clamp the chunk to the entity's window; chunks entirely outside
-      // leave their partial empty (merging it is a no-op). Blocks sit at
-      // absolute chunk boundaries, so the clamped fold still reproduces
-      // the single-threaded blocked run over the window, and the skip
-      // depends only on the task index.
-      const auto [windowFirst, windowLast] = windows[job / schemeCount];
-      const std::size_t first = std::max(chunkFirst, windowFirst);
-      const std::size_t last =
-          std::min({chunkFirst + layout.chunkIntervals, layout.intervalCount,
-                    windowLast});
-      if (first >= last) continue;
-      partials[task] = engine.runChunkPartial(
-          entities[job / schemeCount], schemes[job % schemeCount],
-          schemeParams, first, last, decision ? &*decision : nullptr,
-          truth ? &*truth : nullptr,
-          telemetry != nullptr ? taskTelemetry[task].get() : nullptr);
-    }
+  const auto telemetryOf = [&](std::size_t job, std::size_t slot) {
+    return telemetry != nullptr ? taskTelemetry[job * slotsPerJob + slot].get()
+                                : nullptr;
   };
-  if (out.threads == 1) {
-    worker();
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(out.threads);
-    for (unsigned i = 0; i < out.threads; ++i) threads.emplace_back(worker);
-    for (std::thread& t : threads) t.join();
-  }
+
+  // Runs body(i, source) for every i in [0, count) on the workers. Each
+  // worker cursors over one private feed of the packed trace, so decode
+  // state is never shared across threads (none for in-memory replay).
+  const auto parallel = [&](std::size_t count, const auto& body) {
+    std::atomic<std::size_t> next{0};
+    const auto worker = [&] {
+      std::optional<store::PackedTraceReader> reader;
+      std::optional<store::PackedConditionSource> source;
+      if (!layout.packedPath.empty()) {
+        reader.emplace(store::PackedTraceReader::open(layout.packedPath));
+        source.emplace(*reader);
+      }
+      for (std::size_t i = next.fetch_add(1); i < count; i = next.fetch_add(1))
+        body(i, source ? &*source : nullptr);
+    };
+    const unsigned threads =
+        std::min<unsigned>(out.threads, static_cast<unsigned>(count));
+    if (threads <= 1) return worker();
+    std::vector<std::thread> pool;
+    for (unsigned i = 0; i < threads; ++i) pool.emplace_back(worker);
+    for (std::thread& t : pool) t.join();
+  };
+
+  parallel(jobs, [&](std::size_t job, trace::ConditionSource* source) {
+    const auto [windowFirst, windowLast] = windows[job / schemeCount];
+    timelines[job] = engine.decide(
+        entities[job / schemeCount], schemes[job % schemeCount], schemeParams,
+        0, {"runSweep", windowFirst, windowLast, source, telemetryOf(job, 0)});
+  });
+  parallel(tasks, [&](std::size_t task, trace::ConditionSource* source) {
+    const std::size_t job = task / layout.chunkCount;
+    const std::size_t chunkFirst =
+        task % layout.chunkCount * layout.chunkIntervals;
+    // Clamp the chunk to the entity's window; chunks entirely outside
+    // leave their partial empty (merging it is a no-op). Blocks sit at
+    // absolute chunk boundaries, so the clamped fold still reproduces the
+    // single-threaded blocked run over the window, and the skip depends
+    // only on the task index.
+    const auto [windowFirst, windowLast] = windows[job / schemeCount];
+    const std::size_t first = std::max(chunkFirst, windowFirst);
+    const std::size_t last = std::min(
+        {chunkFirst + layout.chunkIntervals, layout.intervalCount, windowLast});
+    if (first >= last) return;
+    partials[task] = engine.score(
+        entities[job / schemeCount], schemes[job % schemeCount],
+        timelines[job],
+        {"runSweep", first, last, source,
+         telemetryOf(job, 1 + task % layout.chunkCount)});
+  });
 
   // Deterministic fold: each job's partials in ascending chunk order --
   // the same merge tree as the single-threaded blocked run.
   const std::int64_t foldStart = util::nowNanos();
   out.results.resize(jobs);
   for (std::size_t job = 0; job < jobs; ++job) {
-    Partial total;
+    RunPartial total;
     for (std::size_t chunk = 0; chunk < layout.chunkCount; ++chunk)
       total.merge(std::move(partials[job * layout.chunkCount + chunk]));
     out.results[job] = engine.finalizePartial(entities[job / schemeCount],
@@ -191,9 +205,7 @@ auto runSweep(const Engine& engine, const std::vector<Entity>& entities,
       static_cast<std::uint64_t>(util::nowNanos() - foldStart));
   out.stages = engine.stageTimings().snapshot();
 
-  if (telemetry != nullptr) {
-    for (const auto& taskResult : taskTelemetry) telemetry->merge(*taskResult);
-  }
+  for (const auto& taskResult : taskTelemetry) telemetry->merge(*taskResult);
   return out;
 }
 

@@ -26,7 +26,7 @@ std::uint64_t packKey(std::uint64_t contextKey, std::uint64_t fingerprint) {
 
 }  // namespace
 
-// dgcheck: cold: runs once per (flow, scheme, chunk) registration
+// dgcheck: cold: runs once per decision pass, when the memo is attached
 std::uint64_t DecisionMemo::contextKey(SchemeKind kind, const Flow& flow,
                                        const SchemeParams& params) {
   const std::scoped_lock lock(mutex_);

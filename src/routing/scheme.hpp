@@ -6,7 +6,10 @@
 // produce the dissemination graph to flood the next packets on. The
 // playback engine and the live transport service drive schemes through
 // this one interface, which is what makes the head-to-head evaluation
-// apples-to-apples.
+// apples-to-apples. The playback engine runs each scheme once per job,
+// calling select() on every interval in order, and scores from the
+// selections it recorded; a scheme promises nothing beyond select()'s
+// own contract.
 #pragma once
 
 #include <array>
@@ -82,20 +85,12 @@ class RoutingScheme {
 
   /// Returns the dissemination graph to use while `view` describes the
   /// believed network state. The reference stays valid until the next
-  /// select()/initialize() call on this scheme.
+  /// select()/initialize() call on this scheme. Schemes may keep state
+  /// across calls (targeted redundancy's hold-down counts decisions), so
+  /// a driver calls select() once per decision interval, skipping none:
+  /// the playback engines' decision pass does so on every interval and
+  /// records the result in a playback::SelectionTimeline.
   virtual const graph::DisseminationGraph& select(const NetworkView& view) = 0;
-
-  /// True when the scheme has reached a fixed point under clean
-  /// conditions: another select() on the fingerprinted baseline view
-  /// would return the current selection unchanged and leave every
-  /// decision-affecting state variable unchanged. The playback engine
-  /// uses this to elide per-interval select() calls across clean steady
-  /// spans (only while telemetry is detached -- classification counters
-  /// must still tick per call when attached) and to bulk-skip clean
-  /// prefixes during chunk-parallel warm-up replay. Schemes that cannot
-  /// promise a fixed point return false (the default), which is always
-  /// safe.
-  virtual bool steadyOnBaseline() const { return false; }
 
   const graph::Graph& overlay() const { return *overlay_; }
   Flow flow() const { return flow_; }

@@ -147,17 +147,6 @@ class CachedGraphScheme : public RoutingScheme {
       : RoutingScheme(overlay, flow, params),
         current_(overlay, flow.source, flow.destination) {}
 
- public:
-  /// Fixed point iff the last decision (initialize or select) was made on
-  /// the fingerprinted clean-baseline view: selectDynamic's same-content
-  /// fast path then returns current_ without touching any state, and the
-  /// static variants never mutate state in select() at all. Dynamic
-  /// schemes driven with unfingerprinted views report false (safe: the
-  /// playback fast path only ever sees fingerprinted views).
-  bool steadyOnBaseline() const override {
-    return lastFingerprint_ == NetworkView::kBaselineFingerprint;
-  }
-
  protected:
   DisseminationGraph current_;
   std::vector<util::SimTime> cachedWeights_;
@@ -235,13 +224,13 @@ class SinglePathScheme : public CachedGraphScheme {
                     : schemeName(SchemeKind::StaticSinglePath);
   }
 
-  // dgcheck: cold: runs once per (flow, scheme, chunk) task before interval playback
+  // dgcheck: cold: runs once per decision pass, before its first select
   void initialize(const NetworkView& baselineView) override {
     recompute(baselineView);
     noteDecision(baselineView);
   }
 
-  // dgcheck: cold: decision path; steady-state selects are fixed-point no-ops, re-planning is amortized by the decision memo
+  // dgcheck: cold: decision pass, once per job ahead of scoring; a same-view select returns the cached graph and re-planning is amortized by the decision memo
   const DisseminationGraph& select(const NetworkView& view) override {
     if (!dynamic_) return current_;
     return selectDynamic(view,
@@ -279,13 +268,13 @@ class DisjointPathsScheme : public CachedGraphScheme {
                     : schemeName(SchemeKind::StaticTwoDisjoint);
   }
 
-  // dgcheck: cold: runs once per (flow, scheme, chunk) task before interval playback
+  // dgcheck: cold: runs once per decision pass, before its first select
   void initialize(const NetworkView& baselineView) override {
     recompute(baselineView);
     noteDecision(baselineView);
   }
 
-  // dgcheck: cold: decision path; steady-state selects are fixed-point no-ops, re-planning is amortized by the decision memo
+  // dgcheck: cold: decision pass, once per job ahead of scoring; a same-view select returns the cached graph and re-planning is amortized by the decision memo
   const DisseminationGraph& select(const NetworkView& view) override {
     if (!dynamic_) return current_;
     return selectDynamic(view,
@@ -322,7 +311,7 @@ class FloodingScheme : public CachedGraphScheme {
     return schemeName(SchemeKind::TimeConstrainedFlooding);
   }
 
-  // dgcheck: cold: runs once per (flow, scheme, chunk) task before interval playback
+  // dgcheck: cold: runs once per decision pass, before its first select
   void initialize(const NetworkView& baselineView) override {
     // Pruning uses plain latencies (not loss-penalized weights): flooding
     // never avoids lossy links, it only refuses to pay for edges that
@@ -338,11 +327,6 @@ class FloodingScheme : public CachedGraphScheme {
   const DisseminationGraph& select(const NetworkView&) override {
     return current_;
   }
-
-  // Flooding never looks at the view (initialize() does not call
-  // noteDecision, so the inherited fingerprint check would wrongly say
-  // "not steady").
-  bool steadyOnBaseline() const override { return true; }
 };
 
 // ---------------------------------------------------------------------
@@ -364,7 +348,7 @@ class TargetedScheme : public RoutingScheme {
     return schemeName(SchemeKind::TargetedRedundancy);
   }
 
-  // dgcheck: cold: runs once per (flow, scheme, chunk) task before interval playback
+  // dgcheck: cold: runs once per decision pass, before its first select
   void initialize(const NetworkView& baselineView) override {
     const auto weights = baselineView.routingWeights(params_.view);
     graphs_ = buildTargetedGraphs(*overlay_, flow_, weights,
@@ -373,15 +357,18 @@ class TargetedScheme : public RoutingScheme {
     dynamicWeights_.clear();
     sourceHold_ = 0;
     destinationHold_ = 0;
-    steadyOnBaseline_ = false;
+    classifiedView_ = NetworkView::kNoFingerprint;
   }
 
-  bool steadyOnBaseline() const override { return steadyOnBaseline_; }
-
-  // dgcheck: cold: decision path; steady-state selects are fixed-point no-ops, allocation only on classification change (amortized by the decision memo)
+  // dgcheck: cold: decision pass, once per job ahead of scoring; allocates only to classify a view content it has not just classified, or to re-plan around a middle problem
   const DisseminationGraph& select(const NetworkView& view) override {
-    const FlowProblem detected =
-        detector_.classify(view, flow_.source, flow_.destination);
+    // The detector's verdict is a pure function of the view's content, so
+    // it is cached by fingerprint (an exact content id within one trace);
+    // unfingerprinted views are classified on every call.
+    if (!view.hasFingerprint() || view.fingerprint() != classifiedView_)
+      classified_ = detector_.classify(view, flow_.source, flow_.destination);
+    classifiedView_ = view.fingerprint();
+    const FlowProblem detected = classified_;
     recordClassification(detected);
     // Flap damping: hold targeted graphs for holdDownIntervals further
     // decisions after the detector stops firing.
@@ -398,22 +385,6 @@ class TargetedScheme : public RoutingScheme {
     } else if (destinationHold_ > 0) {
       --destinationHold_;
     }
-    // Fixed point check for steadyOnBaseline(): on the baseline view the
-    // detector's classification is a pure function of the view, so a
-    // repeat select() returns the same graph and leaves state unchanged
-    // exactly when no hold-down counter masked the detector this call
-    // (problem == detected). That covers both moving parts: a draining
-    // hold (problem true, detected false -- including the final drain
-    // step, whose *returned* graph is still the targeted one) and the
-    // pinned case (detector keeps re-arming the hold, problem ==
-    // detected == true, selection stable). A middle problem is stable
-    // too because dynamicWeights_ was just brought equal to this view's
-    // weights below.
-    steadyOnBaseline_ =
-        view.fingerprint() == NetworkView::kBaselineFingerprint &&
-        problem.source == detected.source &&
-        problem.destination == detected.destination;
-    lastProblem_ = problem;
     if (problem.source && problem.destination) return graphs_.robust;
     if (problem.source) return graphs_.sourceProblem;
     if (problem.destination) return graphs_.destinationProblem;
@@ -439,24 +410,20 @@ class TargetedScheme : public RoutingScheme {
     return graphs_.twoDisjoint;
   }
 
-  /// The classification used by the most recent select() (for analysis).
-  FlowProblem lastProblem() const { return lastProblem_; }
-  const TargetedGraphs& graphs() const { return graphs_; }
-
  private:
   ProblemDetector detector_;
   TargetedGraphs graphs_;
   DisseminationGraph dynamicFallback_;
   std::vector<util::SimTime> dynamicWeights_;
-  FlowProblem lastProblem_;
   int sourceHold_ = 0;
   int destinationHold_ = 0;
-  bool steadyOnBaseline_ = false;
+  FlowProblem classified_;
+  std::uint64_t classifiedView_ = NetworkView::kNoFingerprint;
 };
 
 }  // namespace
 
-// dgcheck: cold: scheme factory; runs once per (flow, scheme, chunk) task
+// dgcheck: cold: scheme factory; runs once per decision pass
 std::unique_ptr<RoutingScheme> makeScheme(SchemeKind kind,
                                           const graph::Graph& overlay,
                                           Flow flow,

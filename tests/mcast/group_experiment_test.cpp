@@ -4,10 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "mcast/experiment.hpp"
+#include "mcast/report.hpp"
 #include "store/writer.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/telemetry.hpp"
@@ -125,6 +127,66 @@ TEST(GroupExperiment, PackedRunnerMatchesInMemoryBlockedRun) {
   expectResultsIdentical(packed, packedAt1);
   EXPECT_EQ(telemetry::toPrometheus(packedSeq.metrics),
             telemetry::toPrometheus(packedT1.metrics));
+}
+
+TEST(GroupExperiment, PackedRunnerTraceEventsMatchInMemoryRun) {
+  // targeted-receivers records its sub-schemes' classifications. Each
+  // job is decided once, so the chunked event stream carries no extra
+  // classification at a chunk start.
+  const trace::Topology topology = trace::Topology::ltn12();
+  const trace::Trace tr = experimentTrace(topology.graph());
+  const std::string path = (std::filesystem::path(::testing::TempDir()) /
+                            "mcast_events.dgtrace")
+                               .string();
+  store::WriterOptions options;
+  options.chunkIntervals = 64;
+  store::packTrace(tr, path, options);
+
+  GroupExperimentConfig config = baseConfig(topology);
+  config.schemes = {GroupSchemeKind::kTargetedReceivers};
+  config.threads = 4;
+  telemetry::Telemetry packedTelemetry;
+  runPackedGroupExperiment(topology.graph(), path, config, &packedTelemetry);
+
+  config.playback.base.accumBlockIntervals = 64;
+  telemetry::Telemetry inMemoryTelemetry;
+  runGroupExperiment(topology.graph(), tr, config, &inMemoryTelemetry);
+
+  EXPECT_GT(inMemoryTelemetry.trace
+                .eventsOfKind(telemetry::TraceEventKind::ProblemClassified)
+                .size(),
+            0u);
+  EXPECT_EQ(telemetry::toJson(packedTelemetry.trace),
+            telemetry::toJson(inMemoryTelemetry.trace));
+}
+
+TEST(GroupReport, SummaryColumnsStaySeparatedAtFullUnavailability) {
+  // A receiver that always misses prints 1000000.0ppm, the widest value
+  // the worst-receiver column can hold; it must not run into the
+  // problematic-interval count beside it.
+  const trace::Topology topology = trace::Topology::ltn12();
+  const trace::Trace tr = experimentTrace(topology.graph());
+  GroupExperimentResult result;
+  GroupSchemeSummary summary;
+  summary.scheme = GroupSchemeKind::kStaticTrees;
+  summary.unavailabilityAll = 1.0;
+  summary.unavailabilityK = 1.0;
+  summary.unavailableAllSeconds = 35970.0;
+  summary.problematicIntervals = 3597;
+  summary.worstReceiverUnavailability = 1.0;
+  summary.averageCost = 12.5;
+  result.summary = {summary};
+
+  const std::string table = renderGroupSummaryTable(result, tr, 1);
+  const std::size_t row = table.find("static-trees");
+  ASSERT_NE(row, std::string::npos) << table;
+  std::istringstream cells(table.substr(row, table.find('\n', row) - row));
+  std::vector<std::string> columns;
+  for (std::string cell; cells >> cell;) columns.push_back(cell);
+  EXPECT_EQ(columns, (std::vector<std::string>{
+                         "static-trees", "1000000.0ppm", "1000000.0ppm",
+                         "35970.0", "3597", "1000000.0ppm", "12.50"}))
+      << table;
 }
 
 TEST(GroupExperiment, FullCoverWindowMatchesUnwindowedRun) {

@@ -72,7 +72,7 @@ void expectBitIdentical(const GroupSchemeResult& grouped,
 
 // Pinned through three inputs that share the replay core and the sweep
 // scheduler: whole-trace run(); chunk partials starting past interval 0
-// (warm-up roll-forward, accumulation blocks, ascending fold); and the
+// (decisions from interval 0, accumulation blocks, ascending fold); and the
 // packed experiment runners over one packed trace.
 TEST(GroupPlayback, SingleReceiverGroupBitIdenticalToUnicastForEveryScheme) {
   const trace::Topology topology = trace::Topology::ltn12();

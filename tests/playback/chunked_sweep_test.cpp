@@ -73,7 +73,7 @@ class ChunkedSweep : public ::testing::Test {
       : topology_(trace::Topology::ltn12()),
         trace_(randomTrace(topology_.graph(), 100, 424242)) {
     // Deviations hugging every chunk edge of the 32-interval layout
-    // ([0,32) [32,64) [64,96) [96,100)): warm-up continuity across the
+    // ([0,32) [32,64) [64,96) [96,100)): decision continuity across the
     // boundary and the per-chunk clean-eval cache reset only matter
     // when chunk boundaries split an active problem.
     for (const std::size_t t : {31u, 32u, 33u, 63u, 64u, 95u, 96u, 99u}) {
@@ -142,6 +142,32 @@ TEST_F(ChunkedSweep, ThreadCountInvariantIncludingTelemetry) {
   EXPECT_EQ(telemetry::toJson(tel1.metrics),
             telemetry::toJson(tel8.metrics));
   EXPECT_EQ(telemetry::toJson(tel1.trace), telemetry::toJson(tel8.trace));
+}
+
+TEST_F(ChunkedSweep, TraceEventsMatchInMemoryRun) {
+  // Each job is decided once, so chunk boundaries leave no mark on the
+  // event stream: a targeted scheme's classification events come out
+  // exactly as in the unchunked run, not once more per chunk start.
+  const std::string path = packToTemp(trace_, "chunked_events.dgtrace", 32);
+  playback::ExperimentConfig packedConfig = config_;
+  packedConfig.threads = 2;
+  telemetry::Telemetry packedTelemetry;
+  playback::runPackedExperiment(topology_.graph(), path, packedConfig,
+                                &packedTelemetry);
+
+  playback::ExperimentConfig blocked = config_;
+  blocked.playback.accumBlockIntervals = 32;
+  blocked.threads = 1;
+  telemetry::Telemetry inMemoryTelemetry;
+  playback::runExperiment(topology_.graph(), trace_, blocked,
+                          &inMemoryTelemetry);
+
+  EXPECT_GT(inMemoryTelemetry.trace
+                .eventsOfKind(telemetry::TraceEventKind::ProblemClassified)
+                .size(),
+            0u);
+  EXPECT_EQ(telemetry::toJson(packedTelemetry.trace),
+            telemetry::toJson(inMemoryTelemetry.trace));
 }
 
 TEST_F(ChunkedSweep, SingleChunkContainerMatchesUnchunkedRun) {

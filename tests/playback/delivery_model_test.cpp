@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "graph/dissemination_graph.hpp"
+#include "proptest.hpp"
 #include "test_support.hpp"
 
 namespace dg::playback {
@@ -184,6 +190,100 @@ TEST(MonteCarloDelivery, ZeroSamplesIsZero) {
       onTimeProbabilityMC(dg, std::vector<double>(4, 0.0),
                           line.g.baseLatencies(), defaults(), 0, rng),
       0.0);
+}
+
+// The playback step counts an interval's cost off the earliest-arrival
+// run its evaluator has just left in the workspace (flat 4-ary heap)
+// instead of rerunning DisseminationGraph::cost's own Dijkstra
+// (std::priority_queue). The two agree only if they settle every node on
+// the same predecessor, which ties put to the test: small integer
+// latencies, unusable (kNever) edges, multi-edges and unreachable nodes.
+struct CostCase {
+  struct Link {
+    graph::NodeId from = 0;
+    graph::NodeId to = 0;
+    bool member = true;  ///< in the dissemination graph
+    util::SimTime latency = 0;  ///< this interval's, kNever = unusable
+  };
+  std::size_t nodes = 2;
+  std::vector<Link> links;
+  graph::NodeId source = 0;
+
+  std::string describe() const {
+    std::ostringstream out;
+    out << "  nodes=" << nodes << " source=" << source << "\n";
+    for (const Link& link : links) {
+      out << "  " << link.from << " -> " << link.to
+          << (link.member ? " member" : " non-member") << " latency="
+          << link.latency << "\n";
+    }
+    return out.str();
+  }
+};
+
+CostCase genCostCase(util::Rng& rng) {
+  CostCase c;
+  c.nodes = static_cast<std::size_t>(2 + rng.uniformInt(std::uint64_t{8}));
+  const auto links = 1 + rng.uniformInt(std::uint64_t{4 * c.nodes});
+  for (std::uint64_t i = 0; i < links; ++i) {
+    CostCase::Link link;
+    link.from = static_cast<graph::NodeId>(rng.uniformInt(c.nodes));
+    link.to = static_cast<graph::NodeId>(rng.uniformInt(c.nodes - 1));
+    if (link.to >= link.from) ++link.to;
+    link.member = rng.bernoulli(0.75);
+    link.latency = rng.bernoulli(0.1)
+                       ? util::kNever
+                       : util::milliseconds(rng.uniformInt(std::int64_t{1},
+                                                           std::int64_t{3}));
+    c.links.push_back(link);
+  }
+  c.source = static_cast<graph::NodeId>(rng.uniformInt(c.nodes));
+  return c;
+}
+
+TEST(StepCost, CountedOffTheEvaluatorsRunEqualsDisseminationGraphCost) {
+  test::prop::forAll(
+      "cost from the evaluator's earliest-arrival run", genCostCase,
+      [](const CostCase& c) {
+        graph::Graph g;
+        g.addNodes(c.nodes);
+        std::vector<util::SimTime> latencies;
+        for (const CostCase::Link& link : c.links) {
+          g.addEdge(link.from, link.to, util::milliseconds(1));
+          latencies.push_back(link.latency);
+        }
+        const graph::NodeId destination =
+            c.source == 0 ? graph::NodeId{1} : graph::NodeId{0};
+        graph::DisseminationGraph dg(g, c.source, destination);
+        for (std::size_t e = 0; e < c.links.size(); ++e) {
+          if (c.links[e].member) dg.addEdge(static_cast<graph::EdgeId>(e));
+        }
+        const int expected = dg.cost(latencies);
+
+        std::vector<graph::NodeId> receivers;
+        for (graph::NodeId n = 0; n < c.nodes; ++n) {
+          if (n != c.source) receivers.push_back(n);
+        }
+        const std::vector<util::SimTime> deadlines(receivers.size(),
+                                                   util::milliseconds(65));
+        const std::vector<double> losses(c.links.size(), 0.0);
+        std::vector<double> miss(receivers.size());
+        std::vector<util::SimTime> arrival(receivers.size());
+        DeliveryWorkspace ws;
+        missGroupNearLossless(dg, receivers, deadlines, losses, latencies,
+                              defaults(), ws, miss, arrival);
+        const int nearLosslessCost = dg.cost(latencies, ws.dist, ws.via);
+        groupCleanArrivals(dg, latencies, receivers, ws, arrival);
+        const int cleanArrivalsCost = dg.cost(latencies, ws.dist, ws.via);
+        if (nearLosslessCost != expected || cleanArrivalsCost != expected) {
+          return test::prop::fail(
+              "cost " + std::to_string(expected) + ", near-lossless run " +
+              std::to_string(nearLosslessCost) + ", clean-arrivals run " +
+              std::to_string(cleanArrivalsCost));
+        }
+        return test::prop::pass();
+      },
+      [](const CostCase& c) { return c.describe(); });
 }
 
 }  // namespace

@@ -122,14 +122,15 @@ TEST_F(GoldenEquivalence, CursorVsLegacyByteIdentical) {
   EXPECT_EQ(tOpt, tLegacy);
 }
 
-// With telemetry detached cursor replay may elide select() calls across
-// clean steady spans (RoutingScheme::steadyOnBaseline). A deviation
-// burst followed by a long clean tail is the adversarial shape: the
-// targeted scheme's hold-down counters drain inside the tail, and a
-// premature "steady" verdict would freeze the expensive targeted graph
-// for the rest of the run (visible as an averageCost mismatch against
-// legacy replay, which never elides). Both arms run the same evaluation
-// step, so this compares the two replays only.
+// A deviation burst followed by a long clean tail: the targeted scheme's
+// hold-down counters drain inside the tail, on fingerprinted baseline
+// views whose classification the scheme serves from its cache. Any
+// decision the pass got wrong there -- a skipped or cached hold-down
+// step would freeze the expensive targeted graph for the rest of the run
+// -- shows as an averageCost mismatch against legacy replay, whose
+// unfingerprinted views are classified afresh on every call. Both arms
+// run the same evaluation step, so this compares the two decision
+// passes only.
 TEST(SteadyFastPath, MatchesLegacyWithoutTelemetry) {
   const auto topology = trace::Topology::ltn12();
   const graph::Graph& g = topology.graph();

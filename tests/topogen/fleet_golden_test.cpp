@@ -3,7 +3,8 @@
 // the chunk-parallel packed runner; the per-scheme summary is compared
 // EXACTLY (every double printed at full %.17g precision) against a
 // committed fixture. Any change to the generators, the workload mapping,
-// the windowed warm-up, or the playback arithmetic shows up as a diff.
+// the pre-window decision history, or the playback arithmetic shows up
+// as a diff.
 //
 // Thread invariance is asserted in the same run: the summary produced at
 // --threads 8 must be byte-identical to --threads 1 before either is
