@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "store/reader.hpp"
 #include "util/logging.hpp"
 #include "util/stats.hpp"
 
@@ -41,18 +42,19 @@ void summarizeSchemes(GroupExperimentResult& result,
   result.summary = std::move(summaries);
 }
 
-/// Runs the sweep over `layout` and collects it: experiment metrics after
-/// the sequential telemetry merge, then per-scheme summaries.
+/// Runs the sweep in chunks of `chunkIntervals` (0 = one chunk) and
+/// collects it: experiment metrics after the sequential telemetry merge,
+/// then per-scheme summaries.
 GroupExperimentResult sweepGroups(const GroupPlaybackEngine& engine,
                                   const GroupExperimentConfig& config,
-                                  const playback::SweepLayout& layout,
+                                  std::size_t chunkIntervals,
                                   telemetry::Telemetry* telemetry,
                                   const char* done) {
   playback::SweepOutcome<GroupSchemeResult> outcome = playback::runSweep(
       engine, config.groups, config.schemes, config.schemeParams,
       playback::resolveWindows(config.groupWindows, config.groups.size(),
-                               layout.intervalCount, "group"),
-      layout, telemetry);
+                               engine.trace().intervalCount(), "group"),
+      chunkIntervals, config.threads, telemetry);
   GroupExperimentResult result;
   result.perGroup = std::move(outcome.results);
   if (telemetry != nullptr) {
@@ -62,8 +64,7 @@ GroupExperimentResult sweepGroups(const GroupPlaybackEngine& engine,
   result.stages = outcome.stages;
   summarizeSchemes(result, config);
   DG_LOG(Info) << done << ": " << result.perGroup.size() << " runs, "
-               << layout.chunkCount << " chunks, " << outcome.threads
-               << " threads";
+               << outcome.threads << " threads";
   return result;
 }
 
@@ -77,11 +78,8 @@ GroupExperimentResult runGroupExperiment(const graph::Graph& overlay,
   if (config.groups.empty() || config.schemes.empty())
     throw std::invalid_argument("runGroupExperiment: empty groups or schemes");
   const GroupPlaybackEngine engine(overlay, trace, config.playback);
-  return sweepGroups(engine, config,
-                     {.intervalCount = trace.intervalCount(),
-                      .chunkIntervals = trace.intervalCount(),
-                      .threads = config.threads},
-                     telemetry, "group experiment complete");
+  return sweepGroups(engine, config, 0, telemetry,
+                     "group experiment complete");
 }
 
 // dgcheck: worker
@@ -91,16 +89,18 @@ GroupExperimentResult runPackedGroupExperiment(
   if (config.groups.empty() || config.schemes.empty())
     throw std::invalid_argument(
         "runPackedGroupExperiment: empty groups or schemes");
-  const playback::PackedSweep packed = playback::openPackedSweep(
-      packedPath, config.threads, "runPackedGroupExperiment");
+  store::PackedTraceReader reader = store::PackedTraceReader::open(packedPath);
+  if (reader.info().intervalCount == 0)
+    throw std::invalid_argument("runPackedGroupExperiment: empty trace");
+  const trace::Trace trace = reader.readAll();
 
   // The chunk is the accumulation block, exactly as in the unicast packed
   // runner: the per-job ascending-chunk fold then reproduces a
   // single-threaded blocked run bit for bit.
   GroupPlaybackParams playback = config.playback;
-  playback.base.accumBlockIntervals = packed.layout.chunkIntervals;
-  const GroupPlaybackEngine engine(overlay, packed.trace, playback);
-  return sweepGroups(engine, config, packed.layout, telemetry,
+  playback.base.accumBlockIntervals = reader.info().chunkIntervals;
+  const GroupPlaybackEngine engine(overlay, trace, playback);
+  return sweepGroups(engine, config, reader.info().chunkIntervals, telemetry,
                      "packed group experiment complete");
 }
 

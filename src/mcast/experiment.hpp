@@ -70,11 +70,11 @@ GroupExperimentResult runGroupExperiment(
     const GroupExperimentConfig& config,
     telemetry::Telemetry* telemetry = nullptr);
 
-/// Chunk-parallel variant over a packed dgtrace file: the work unit is
-/// (group, scheme, chunk); per-worker PackedTraceReader + private
-/// condition sources, chunk-aligned accumulation blocks, ascending-chunk
-/// fold -- bit-identical at any thread count, telemetry exports
-/// byte-identical (same contract as playback::runPackedExperiment).
+/// Chunk-parallel variant over a packed dgtrace file: the file is decoded
+/// once and runGroupExperiment's sweep runs over it with the work unit
+/// (group, scheme, chunk), chunk-aligned accumulation blocks and an
+/// ascending-chunk fold -- bit-identical at any thread count, telemetry
+/// exports byte-identical (same contract as playback::runPackedExperiment).
 GroupExperimentResult runPackedGroupExperiment(
     const graph::Graph& overlay, const std::string& packedPath,
     const GroupExperimentConfig& config,

@@ -88,9 +88,9 @@ class GroupPlaybackEngine {
                              std::size_t first, std::size_t last,
                              telemetry::Telemetry* telemetry = nullptr) const;
 
-  /// Chunk-parallel building block, with the same contract as
+  /// Chunk building block, with the same contract as
   /// PlaybackEngine::runChunkPartial (decisions over [0, last), scoring
-  /// over [first, last), worker-private condition sources).
+  /// over [first, last), optional condition sources).
   GroupRunPartial runChunkPartial(
       const Group& group, GroupSchemeKind kind,
       const routing::SchemeParams& schemeParams, std::size_t first,

@@ -13,10 +13,10 @@ using util::padRight;
 }  // namespace
 
 std::string renderGroupSummaryTable(const GroupExperimentResult& result,
-                                    const trace::Trace& trace,
+                                    util::SimTime traceDuration,
                                     std::size_t groupCount) {
   std::ostringstream out;
-  const double traceDays = util::toSeconds(trace.duration()) / 86'400.0;
+  const double traceDays = util::toSeconds(traceDuration) / 86'400.0;
   out << "Group scheme performance over " << formatFixed(traceDays, 1)
       << " days, " << groupCount << " groups\n";
   out << padRight("scheme", 22) << padLeft("unavail_all", 13)

@@ -7,14 +7,16 @@
 
 #include "mcast/experiment.hpp"
 #include "trace/topology.hpp"
+#include "util/sim_time.hpp"
 
 namespace dg::mcast {
 
-/// Headline table: one row per group scheme with delivered-to-all and
-/// delivered-to-k unavailability, unavailable seconds, problematic
-/// intervals, worst per-receiver unavailability and cost.
+/// Headline table over a trace of `traceDuration`: one row per group
+/// scheme with delivered-to-all and delivered-to-k unavailability,
+/// unavailable seconds, problematic intervals, worst per-receiver
+/// unavailability and cost.
 std::string renderGroupSummaryTable(const GroupExperimentResult& result,
-                                    const trace::Trace& trace,
+                                    util::SimTime traceDuration,
                                     std::size_t groupCount);
 
 /// Per-group matrix (rows: groups, columns: schemes), delivered-to-all

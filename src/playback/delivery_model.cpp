@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <queue>
 #include <utility>
 #include <vector>
 
@@ -200,33 +199,6 @@ void distancesWithin(const graph::DisseminationGraph& dg,
 /// Samples per batched block. Bounded so the draw buffer (block *
 /// members * 8 bytes) stays inside L1 even for 64-member graphs.
 constexpr int kMcBlockSamples = 32;
-
-/// Portable SoA classify pass: turns a block of raw draws (sample-major,
-/// `memberCount` draws per sample) into per-sample 2-bit outcome-pattern
-/// keys. Identical classification to the fused loop -- same thresholds,
-/// same 53-bit integer comparison -- just decoupled from the RNG
-/// advance.
-// dgcheck: hot
-void buildKeysScalar(const std::uint64_t* draws, std::size_t memberCount,
-                     int blockSamples, const std::uint64_t* thrOnTime,
-                     const std::uint64_t* thrRecovered,
-                     std::uint64_t* keyLo, std::uint64_t* keyHi) {
-  for (int b = 0; b < blockSamples; ++b) {
-    const std::uint64_t* d =
-        draws + static_cast<std::size_t>(b) * memberCount;
-    std::uint64_t key[2] = {0, 0};
-    for (std::size_t i = 0; i < memberCount; ++i) {
-      const std::uint64_t k = d[i] >> 11;
-      if (k >= thrOnTime[i]) [[unlikely]] {
-        const std::uint64_t code =
-            1 + static_cast<std::uint64_t>(k >= thrRecovered[i]);
-        key[i >> 5] |= code << (2 * (i & 31));
-      }
-    }
-    keyLo[b] = key[0];
-    keyHi[b] = key[1];
-  }
-}
 
 #if DG_MC_HAVE_AVX2_TARGET
 /// AVX2 classify pass: 4 member edges per vector, fully branchless. Both
@@ -462,8 +434,6 @@ void drawSamples(const std::vector<graph::EdgeId>& members, int samples,
                  OnKey&& onKey, OnWeights&& onWeights) {
   const std::size_t memberCount = members.size();
   util::Rng localRng = rng;
-  const detail::McKernel kernel =
-      keyed ? resolveMcKernel(memberCount) : detail::McKernel::kAuto;
 
   if (!keyed) {
     for (int s = 0; s < samples; ++s) {
@@ -479,7 +449,37 @@ void drawSamples(const std::vector<graph::EdgeId>& members, int samples,
       }
       onWeights(touches);
     }
-  } else if (kernel == detail::McKernel::kFusedScalar) {
+#if DG_MC_HAVE_AVX2_TARGET
+  } else if (resolveMcKernel(memberCount) == detail::McKernel::kBlockAvx2) {
+    // Batched SoA kernel: draw a whole block of samples into the draw
+    // buffer (sample-major -- byte-for-byte the order the fused loop
+    // consumes), classify the block into per-sample pattern keys, then
+    // score the keys in sample order. The RNG advances by exactly
+    // blockSamples * memberCount draws either way, so the caller-visible
+    // generator state and every verdict are bit-identical across
+    // kernels.
+    const std::size_t blockDraws =
+        static_cast<std::size_t>(kMcBlockSamples) * memberCount;
+    if (ws.mcDraws.size() < blockDraws) ws.mcDraws.resize(blockDraws);
+    if (ws.mcKeyLo.size() < static_cast<std::size_t>(kMcBlockSamples)) {
+      ws.mcKeyLo.resize(static_cast<std::size_t>(kMcBlockSamples));
+      ws.mcKeyHi.resize(static_cast<std::size_t>(kMcBlockSamples));
+    }
+    for (int s0 = 0; s0 < samples; s0 += kMcBlockSamples) {
+      const int blockSamples = std::min(kMcBlockSamples, samples - s0);
+      localRng.nextBlock(ws.mcDraws.data(),
+                         static_cast<std::size_t>(blockSamples) *
+                             memberCount);
+      buildKeysAvx2(ws.mcDraws.data(), memberCount, blockSamples,
+                    ws.mcThrOnTime.data(), ws.mcThrRecovered.data(),
+                    ws.mcKeyLo.data(), ws.mcKeyHi.data());
+      for (std::size_t b = 0; b < static_cast<std::size_t>(blockSamples);
+           ++b) {
+        onKey(ws.mcKeyLo[b], ws.mcKeyHi[b]);
+      }
+    }
+#endif
+  } else {
     // Fused draw-and-classify loop: 2-bit outcome code per member edge
     // (0 = on-time, 1 = recovered, 2 = lost; the thresholds nest, so
     // 1 + the second comparison is the band index). The on-time branch
@@ -508,46 +508,6 @@ void drawSamples(const std::vector<graph::EdgeId>& members, int samples,
         }
       }
       onKey(keyLo, keyHi);
-    }
-  } else {
-    // Batched SoA kernels: draw a whole block of samples into the draw
-    // buffer (sample-major -- byte-for-byte the order the fused loop
-    // consumes), classify the block into per-sample pattern keys, then
-    // score the keys in sample order. The RNG advances by exactly
-    // blockSamples * memberCount draws either way, so the caller-visible
-    // generator state and every verdict are bit-identical across
-    // kernels.
-    const std::size_t blockDraws =
-        static_cast<std::size_t>(kMcBlockSamples) * memberCount;
-    if (ws.mcDraws.size() < blockDraws) ws.mcDraws.resize(blockDraws);
-    if (ws.mcKeyLo.size() < static_cast<std::size_t>(kMcBlockSamples)) {
-      ws.mcKeyLo.resize(static_cast<std::size_t>(kMcBlockSamples));
-      ws.mcKeyHi.resize(static_cast<std::size_t>(kMcBlockSamples));
-    }
-    for (int s0 = 0; s0 < samples; s0 += kMcBlockSamples) {
-      const int blockSamples = std::min(kMcBlockSamples, samples - s0);
-      localRng.nextBlock(ws.mcDraws.data(),
-                         static_cast<std::size_t>(blockSamples) *
-                             memberCount);
-#if DG_MC_HAVE_AVX2_TARGET
-      if (kernel == detail::McKernel::kBlockAvx2) {
-        buildKeysAvx2(ws.mcDraws.data(), memberCount, blockSamples,
-                      ws.mcThrOnTime.data(), ws.mcThrRecovered.data(),
-                      ws.mcKeyLo.data(), ws.mcKeyHi.data());
-      } else {
-        buildKeysScalar(ws.mcDraws.data(), memberCount, blockSamples,
-                        ws.mcThrOnTime.data(), ws.mcThrRecovered.data(),
-                        ws.mcKeyLo.data(), ws.mcKeyHi.data());
-      }
-#else
-      buildKeysScalar(ws.mcDraws.data(), memberCount, blockSamples,
-                      ws.mcThrOnTime.data(), ws.mcThrRecovered.data(),
-                      ws.mcKeyLo.data(), ws.mcKeyHi.data());
-#endif
-      for (std::size_t b = 0; b < static_cast<std::size_t>(blockSamples);
-           ++b) {
-        onKey(ws.mcKeyLo[b], ws.mcKeyHi[b]);
-      }
     }
   }
   rng = localRng;
@@ -876,98 +836,6 @@ void onTimeCountsMCGroup(const graph::DisseminationGraph& dg,
       receivers.size() == 1 ? countsOneReceiver : countsReceiverSet;
   kernel(dg, receivers, deadlines, lossRates, latencies, params, samples,
          rng, ws, onTimeCounts, deliveredHistogram);
-}
-
-// ---------------------------------------------------------------------
-// Reference implementations: the pre-optimization code, frozen. Do not
-// "improve" these -- their entire value is being the unchanged baseline
-// the optimized versions are proven bit-identical against.
-// ---------------------------------------------------------------------
-
-// dgcheck: cold: frozen reference implementation; exists to be the unoptimized baseline the fast path is proven bit-identical against
-double onTimeProbabilityMCReference(const graph::DisseminationGraph& dg,
-                                    std::span<const double> lossRates,
-                                    std::span<const util::SimTime> latencies,
-                                    const DeliveryModelParams& params,
-                                    int samples, util::Rng& rng) {
-  if (samples <= 0) return 0.0;
-  const graph::Graph& overlay = dg.overlay();
-  std::vector<util::SimTime> sampled(overlay.edgeCount(), util::kNever);
-  std::vector<util::SimTime> dist(overlay.nodeCount());
-  int delivered = 0;
-
-  for (int s = 0; s < samples; ++s) {
-    for (const graph::EdgeId e : dg.edges()) {
-      sampled[e] = sampleHopLatency(lossRates[e], latencies[e], params, rng);  // dgcheck: ok(R6): reference impl; sequential draws are the frozen spec the fast path is proven bit-identical against
-    }
-    std::fill(dist.begin(), dist.end(), util::kNever);
-    using Entry = std::pair<util::SimTime, graph::NodeId>;
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue;
-    dist[dg.source()] = 0;
-    queue.push({0, dg.source()});
-    bool onTime = false;
-    while (!queue.empty()) {
-      const auto [d, u] = queue.top();
-      queue.pop();
-      if (d > dist[u]) continue;
-      if (u == dg.destination()) {
-        onTime = d <= params.deadline;
-        break;
-      }
-      if (d > params.deadline) break;
-      for (const graph::EdgeId e : dg.outEdges(u)) {
-        if (sampled[e] == util::kNever) continue;
-        const graph::NodeId v = overlay.edge(e).to;
-        const util::SimTime nd = d + sampled[e];
-        if (nd < dist[v]) {
-          dist[v] = nd;
-          queue.push({nd, v});
-        }
-      }
-    }
-    if (onTime) ++delivered;
-  }
-  return static_cast<double>(delivered) / static_cast<double>(samples);
-}
-
-// dgcheck: cold: frozen reference implementation; exists to be the unoptimized baseline the fast path is proven bit-identical against
-double missProbabilityNearLosslessReference(
-    const graph::DisseminationGraph& dg, std::span<const double> lossRates,
-    std::span<const util::SimTime> latencies,
-    const DeliveryModelParams& params) {
-  const graph::Graph& overlay = dg.overlay();
-  std::vector<util::SimTime> dist(overlay.nodeCount(), util::kNever);
-  std::vector<graph::EdgeId> via(overlay.nodeCount(), graph::kInvalidEdge);
-  using Entry = std::pair<util::SimTime, graph::NodeId>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue;
-  dist[dg.source()] = 0;
-  queue.push({0, dg.source()});
-  while (!queue.empty()) {
-    const auto [d, u] = queue.top();
-    queue.pop();
-    if (d > dist[u]) continue;
-    for (const graph::EdgeId e : dg.outEdges(u)) {
-      const util::SimTime w = latencies[e];
-      if (w == util::kNever) continue;
-      const graph::NodeId v = overlay.edge(e).to;
-      if (d + w < dist[v]) {
-        dist[v] = d + w;
-        via[v] = e;
-        queue.push({d + w, v});
-      }
-    }
-  }
-  const util::SimTime at = dist[dg.destination()];
-  if (at == util::kNever || at > params.deadline) return 1.0;
-
-  double residual = 0.0;
-  for (graph::NodeId n = dg.destination(); n != dg.source();) {
-    const graph::EdgeId e = via[n];
-    const double p = lossRates[e];
-    residual += params.recoveryEnabled ? p * p : p;
-    n = overlay.edge(e).from;
-  }
-  return std::min(residual, 1.0);
 }
 
 }  // namespace dg::playback

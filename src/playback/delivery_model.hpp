@@ -103,17 +103,17 @@ class SampleOutcomeCache {
   std::size_t pending_ = kNoSlot;
 };
 
-/// Monte-Carlo classify-kernel selection. The batched evaluator draws
-/// RNG outcomes for a whole block of samples at once (structure-of-arrays
+/// Monte-Carlo classify-kernel selection. The fused kernel is the
+/// original draw-and-classify loop; the batched AVX2 kernel draws RNG
+/// outcomes for a whole block of samples at once (structure-of-arrays
 /// draw buffer) and then classifies the block against the per-edge 53-bit
-/// thresholds either with a portable scalar pass or with an AVX2 pass;
-/// the fused kernel is the original draw-and-classify loop. The unicast
-/// and the group evaluator run on the same kernels and dispatch. All
-/// kernels consume draws in the identical order and produce bit-identical
-/// results -- kAuto picks per call based on runtime CPU support and the
-/// member-edge count, and the forced values let the equivalence suites pin
-/// every kernel against the frozen references.
-enum class McKernel { kAuto, kFusedScalar, kBlockScalar, kBlockAvx2 };
+/// thresholds. The unicast and the group evaluator run on the same
+/// kernels and dispatch. Both kernels consume draws in the identical
+/// order and produce bit-identical results -- kAuto picks per call based
+/// on runtime CPU support and the member-edge count, and the forced
+/// values let the equivalence suites pin every kernel against the frozen
+/// references.
+enum class McKernel { kAuto, kFusedScalar, kBlockAvx2 };
 
 /// Forces a kernel for testing (kAuto restores normal dispatch). Not
 /// thread-safe; flip it only from single-threaded test setup.
@@ -263,20 +263,5 @@ void onTimeCountsMCGroup(const graph::DisseminationGraph& dg,
                          util::Rng& rng, DeliveryWorkspace& workspace,
                          std::span<int> onTimeCounts,
                          std::span<int> deliveredHistogram);
-
-/// Pre-optimization reference implementations (per-call vector
-/// allocations, per-sample std::priority_queue, no clean-sample
-/// shortcut). Test oracles only: the equivalence tests assert the
-/// optimized versions above -- and the playback step's per-interval
-/// misses -- are bit-identical to these on every input.
-double onTimeProbabilityMCReference(const graph::DisseminationGraph& dg,
-                                    std::span<const double> lossRates,
-                                    std::span<const util::SimTime> latencies,
-                                    const DeliveryModelParams& params,
-                                    int samples, util::Rng& rng);
-double missProbabilityNearLosslessReference(
-    const graph::DisseminationGraph& dg, std::span<const double> lossRates,
-    std::span<const util::SimTime> latencies,
-    const DeliveryModelParams& params);
 
 }  // namespace dg::playback

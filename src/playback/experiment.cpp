@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "store/reader.hpp"
 #include "util/logging.hpp"
 #include "util/stats.hpp"
 
@@ -59,17 +60,18 @@ void summarizeSchemes(ExperimentResult& result,
   result.summary = std::move(summaries);
 }
 
-/// Runs the sweep over `layout` and collects it into `result`:
-/// experiment metrics after the sequential telemetry merge, stage
-/// timings, per-scheme summaries. Returns the worker count used.
+/// Runs the sweep in chunks of `chunkIntervals` (0 = one chunk) and
+/// collects it into `result`: experiment metrics after the sequential
+/// telemetry merge, stage timings, per-scheme summaries. Returns the
+/// worker count used.
 unsigned sweepFlows(ExperimentResult& result, const PlaybackEngine& engine,
-                    const ExperimentConfig& config, const SweepLayout& layout,
+                    const ExperimentConfig& config, std::size_t chunkIntervals,
                     telemetry::Telemetry* telemetry) {
-  SweepOutcome<FlowSchemeResult> sweep =
-      runSweep(engine, config.flows, config.schemes, config.schemeParams,
-               resolveWindows(config.flowWindows, config.flows.size(),
-                              layout.intervalCount, "flow"),
-               layout, telemetry);
+  SweepOutcome<FlowSchemeResult> sweep = runSweep(
+      engine, config.flows, config.schemes, config.schemeParams,
+      resolveWindows(config.flowWindows, config.flows.size(),
+                     engine.trace().intervalCount(), "flow"),
+      chunkIntervals, config.threads, telemetry);
   result.perFlow = std::move(sweep.results);
   if (telemetry != nullptr) {
     recordSweepMetrics(*telemetry, "dg_playback", result.perFlow,
@@ -91,11 +93,7 @@ ExperimentResult runExperiment(const graph::Graph& overlay,
     throw std::invalid_argument("runExperiment: empty flows or schemes");
   const PlaybackEngine engine(overlay, trace, config.playback);
   ExperimentResult result;
-  sweepFlows(result, engine, config,
-             {.intervalCount = trace.intervalCount(),
-              .chunkIntervals = trace.intervalCount(),
-              .threads = config.threads},
-             telemetry);
+  sweepFlows(result, engine, config, 0, telemetry);
   DG_LOG(Info) << "experiment complete: " << result.perFlow.size()
                << " runs";
   return result;
@@ -109,34 +107,37 @@ ExperimentResult runPackedExperiment(const graph::Graph& overlay,
   if (config.flows.empty() || config.schemes.empty())
     throw std::invalid_argument(
         "runPackedExperiment: empty flows or schemes");
-  PackedSweep packed =
-      openPackedSweep(packedPath, config.threads, "runPackedExperiment");
+  store::PackedTraceReader reader = store::PackedTraceReader::open(packedPath);
+  if (reader.info().intervalCount == 0)
+    throw std::invalid_argument("runPackedExperiment: empty trace");
+  const trace::Trace trace = reader.readAll();
+  const std::size_t chunkIntervals = reader.info().chunkIntervals;
 
   // The chunk is the accumulation block: the per-job fold then reproduces
   // a single-threaded blocked run bit for bit (see
   // PlaybackParams::accumBlockIntervals).
   PlaybackParams playback = config.playback;
-  playback.accumBlockIntervals = packed.layout.chunkIntervals;
-  const PlaybackEngine engine(overlay, packed.trace, playback);
+  playback.accumBlockIntervals = chunkIntervals;
+  const PlaybackEngine engine(overlay, trace, playback);
 
   ExperimentResult result;
   const bool useMemoCache =
       !config.memoCachePath.empty() && playback.decisionMemo;
   std::uint64_t fingerprint = 0;
   if (useMemoCache) {
-    fingerprint = packed.reader.contentFingerprint();
+    fingerprint = reader.contentFingerprint();
     result.memoCacheLoad = loadMemoCache(config.memoCachePath, fingerprint,
                                          engine.decisionMemoMutable());
     DG_LOG(Info) << "memo cache " << config.memoCachePath << ": "
                  << memoCacheLoadResultName(result.memoCacheLoad);
   }
   const unsigned threads =
-      sweepFlows(result, engine, config, packed.layout, telemetry);
+      sweepFlows(result, engine, config, chunkIntervals, telemetry);
   if (useMemoCache)
     saveMemoCache(config.memoCachePath, fingerprint, engine.decisionMemo());
   result.memoStats = engine.decisionMemo().stats();
   DG_LOG(Info) << "packed experiment complete: " << result.perFlow.size()
-               << " runs, " << packed.layout.chunkCount << " chunks, "
+               << " runs, " << reader.info().chunkCount << " chunks, "
                << threads << " threads";
   return result;
 }

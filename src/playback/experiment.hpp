@@ -91,15 +91,14 @@ ExperimentResult runExperiment(const graph::Graph& overlay,
 
 /// Chunk-parallel variant of runExperiment over a packed dgtrace file:
 /// the scoring unit is (flow, scheme, chunk) rather than (flow, scheme),
-/// so a sweep saturates cores even with a single flow/scheme. Each
-/// (flow, scheme) job is decided once, and its chunks are scored from
-/// that job's selection timeline (see sweep.hpp). Each worker thread
-/// opens its own PackedTraceReader and feeds its cursor from a private
-/// PackedConditionSource (decode state is never shared).
-/// PlaybackParams::accumBlockIntervals is forced to the container's chunk
-/// length, so the per-job fold of chunk partials (done in ascending chunk
-/// order) reproduces the single-threaded blocked run bit for bit at any
-/// thread count. Telemetry follows the runExperiment discipline:
+/// so a sweep saturates cores even with a single flow/scheme. The file
+/// is opened and decoded once, and the sweep is runExperiment's over
+/// that trace with the container's chunks: each (flow, scheme) job is
+/// decided once, and its chunks are scored from that job's selection
+/// timeline (see sweep.hpp). PlaybackParams::accumBlockIntervals is
+/// forced to the container's chunk length, so the per-job fold of chunk
+/// partials (done in ascending chunk order) reproduces the
+/// single-threaded blocked run bit for bit at any thread count. Telemetry follows the runExperiment discipline:
 /// per-task private instruments, merged sequentially in job order --
 /// metric and trace exports are byte-identical for any `threads`, and
 /// equal to the in-memory runner's.

@@ -98,14 +98,15 @@ class PlaybackEngine {
                                    const routing::SchemeParams& schemeParams,
                                    std::size_t first, std::size_t last) const;
 
-  /// Chunk-parallel building block: decides [0, last) exactly as a full
-  /// run would (telemetry attached from `first`), then scores [first,
-  /// last) and returns the partial accumulation. `decisionSource` and
-  /// `truthSource` (nullable -> replay from the in-memory trace) let each
-  /// worker cursor over its own PackedConditionSource so no decode state
-  /// is shared across threads; the two passes never overlap, so one
-  /// source may serve both. A sweep calls decide() once per job and
-  /// score() per chunk instead.
+  /// Chunk building block: decides [0, last) exactly as a full run would
+  /// (telemetry attached from `first`), then scores [first, last) and
+  /// returns the partial accumulation. `decisionSource` and `truthSource`
+  /// (nullable -> replay from the in-memory trace) cursor over any
+  /// ConditionSource, e.g. a store::PackedConditionSource that decodes a
+  /// packed file one chunk at a time; the two passes never overlap, so
+  /// one source may serve both, but a source is not thread-safe. The
+  /// experiment runners do not call this: runSweep calls decide() once
+  /// per job and score() per chunk, over the in-memory trace.
   ///
   /// With params().accumBlockIntervals == B > 0 and chunks aligned to B,
   /// merging the partials of a run's chunks in ascending order yields the

@@ -24,20 +24,4 @@ std::vector<IntervalRange> resolveWindows(
   return resolved;
 }
 
-PackedSweep openPackedSweep(const std::string& packedPath, unsigned threads,
-                            std::string_view caller) {
-  store::PackedTraceReader reader = store::PackedTraceReader::open(packedPath);
-  const auto& info = reader.info();
-  if (info.intervalCount == 0 || info.chunkCount == 0)
-    throw std::invalid_argument(std::string(caller) + ": empty trace");
-  const SweepLayout layout{
-      .intervalCount = static_cast<std::size_t>(info.intervalCount),
-      .chunkIntervals = info.chunkIntervals,
-      .chunkCount = static_cast<std::size_t>(info.chunkCount),
-      .packedPath = packedPath,
-      .threads = threads};
-  trace::Trace trace = reader.readAll();
-  return PackedSweep{std::move(reader), std::move(trace), layout};
-}
-
 }  // namespace dg::playback

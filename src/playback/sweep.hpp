@@ -7,11 +7,12 @@
 // scoring tasks over fixed chunk geometry -- one chunk spanning the trace
 // for the in-memory runners, the container's chunks for the packed ones
 // -- clamped to the entity's active window, each scoring its range of the
-// shared timeline through the engine's score(). In both phases workers
-// claim tasks in index order, cursor over one worker-private condition
-// source, and record into per-task private telemetry. After the join,
-// each job's partials are folded in ascending chunk order, and the
-// telemetry is merged job by job: the decision task's, then the job's
+// shared timeline through the engine's score(). Every runner replays the
+// engine's in-memory trace (a packed runner decodes its file once, up
+// front), so workers share no decode state. In both phases workers claim
+// tasks in index order and record into per-task private telemetry. After
+// the join, each job's partials are folded in ascending chunk order, and
+// the telemetry is merged job by job: the decision task's, then the job's
 // chunk tasks' in chunk order. Results are therefore bit-identical, and
 // metric and trace exports byte-identical, at any thread count and chunk
 // geometry.
@@ -21,7 +22,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -30,7 +30,6 @@
 
 #include "playback/replay.hpp"
 #include "routing/scheme.hpp"
-#include "store/reader.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/wall_clock.hpp"
 
@@ -54,18 +53,6 @@ std::vector<IntervalRange> resolveWindows(
     const std::vector<FlowWindow>& windows, std::size_t entityCount,
     std::size_t intervalCount, std::string_view entity);
 
-/// Task geometry of one sweep.
-struct SweepLayout {
-  std::size_t intervalCount = 0;
-  std::size_t chunkIntervals = 0;
-  std::size_t chunkCount = 1;
-  /// Packed trace each worker opens its own condition sources over;
-  /// empty = the engine replays its in-memory trace.
-  std::string packedPath{};
-  /// Worker threads; 0 = hardware concurrency.
-  unsigned threads = 0;
-};
-
 template <typename Result>
 struct SweepOutcome {
   std::vector<Result> results;  ///< one per job, entity-major
@@ -74,19 +61,6 @@ struct SweepOutcome {
   StageBreakdown stages;
   unsigned threads = 0;  ///< workers actually used
 };
-
-/// A packed trace opened for a chunk-parallel sweep: the decoded trace
-/// the engine replays, and the layout of one task per container chunk.
-struct PackedSweep {
-  store::PackedTraceReader reader;
-  trace::Trace trace;
-  SweepLayout layout;
-};
-
-/// Opens `packedPath` for a sweep on `threads` workers; throws
-/// std::invalid_argument, naming `caller`, on an empty trace.
-PackedSweep openPackedSweep(const std::string& packedPath, unsigned threads,
-                            std::string_view caller);
 
 /// Experiment-level series recorded after the sequential telemetry merge:
 /// `<prefix>_jobs_total` and the per-job `<prefix>_job_unavailable_seconds`
@@ -103,31 +77,39 @@ void recordSweepMetrics(telemetry::Telemetry& telemetry,
 }
 
 /// Runs the sweep of `engine` (PlaybackEngine or GroupPlaybackEngine)
-/// over entities x schemes; see the file comment for the contract.
+/// over entities x schemes in chunks of `chunkIntervals` (0 = one chunk
+/// spanning the trace) on `threads` workers (0 = hardware concurrency);
+/// see the file comment for the contract.
 template <typename Engine, typename Entity, typename Kind>
 auto runSweep(const Engine& engine, const std::vector<Entity>& entities,
               const std::vector<Kind>& schemes,
               const routing::SchemeParams& schemeParams,
               const std::vector<IntervalRange>& windows,
-              const SweepLayout& layout, telemetry::Telemetry* telemetry) {
+              std::size_t chunkIntervals, unsigned threads,
+              telemetry::Telemetry* telemetry) {
   using Result = decltype(engine.finalizePartial(entities[0], schemes[0],
                                                  std::declval<RunPartial>()));
+  const std::size_t intervalCount = engine.trace().intervalCount();
+  if (chunkIntervals == 0)
+    chunkIntervals = std::max<std::size_t>(intervalCount, 1);
+  const std::size_t chunkCount =
+      std::max<std::size_t>((intervalCount + chunkIntervals - 1) /
+                                chunkIntervals, 1);
   const std::size_t schemeCount = schemes.size();
   const std::size_t jobs = entities.size() * schemeCount;
-  const std::size_t tasks = jobs * layout.chunkCount;
+  const std::size_t tasks = jobs * chunkCount;
   std::vector<SelectionTimeline> timelines(jobs);
   std::vector<RunPartial> partials(tasks);
 
   SweepOutcome<Result> out;
-  out.threads = layout.threads != 0 ? layout.threads
-                                    : std::thread::hardware_concurrency();
+  out.threads = threads != 0 ? threads : std::thread::hardware_concurrency();
   out.threads = std::max(
       1u, std::min<unsigned>(out.threads, static_cast<unsigned>(tasks)));
 
   // One private Telemetry per task, laid out job by job (the decision
   // task, then the chunk tasks): workers never share an instrument, and
   // merging in slot order is merging in job order.
-  const std::size_t slotsPerJob = layout.chunkCount + 1;
+  const std::size_t slotsPerJob = chunkCount + 1;
   std::vector<std::unique_ptr<telemetry::Telemetry>> taskTelemetry;
   if (telemetry != nullptr) {
     taskTelemetry.resize(jobs * slotsPerJob);
@@ -139,39 +121,32 @@ auto runSweep(const Engine& engine, const std::vector<Entity>& entities,
                                 : nullptr;
   };
 
-  // Runs body(i, source) for every i in [0, count) on the workers. Each
-  // worker cursors over one private feed of the packed trace, so decode
-  // state is never shared across threads (none for in-memory replay).
+  // Runs body(i) for every i in [0, count) on the workers.
   const auto parallel = [&](std::size_t count, const auto& body) {
     std::atomic<std::size_t> next{0};
     const auto worker = [&] {
-      std::optional<store::PackedTraceReader> reader;
-      std::optional<store::PackedConditionSource> source;
-      if (!layout.packedPath.empty()) {
-        reader.emplace(store::PackedTraceReader::open(layout.packedPath));
-        source.emplace(*reader);
-      }
       for (std::size_t i = next.fetch_add(1); i < count; i = next.fetch_add(1))
-        body(i, source ? &*source : nullptr);
+        body(i);
     };
-    const unsigned threads =
+    const unsigned workers =
         std::min<unsigned>(out.threads, static_cast<unsigned>(count));
-    if (threads <= 1) return worker();
+    if (workers <= 1) return worker();
     std::vector<std::thread> pool;
-    for (unsigned i = 0; i < threads; ++i) pool.emplace_back(worker);
+    for (unsigned i = 0; i < workers; ++i) pool.emplace_back(worker);
     for (std::thread& t : pool) t.join();
   };
 
-  parallel(jobs, [&](std::size_t job, trace::ConditionSource* source) {
+  parallel(jobs, [&](std::size_t job) {
     const auto [windowFirst, windowLast] = windows[job / schemeCount];
     timelines[job] = engine.decide(
         entities[job / schemeCount], schemes[job % schemeCount], schemeParams,
-        0, {"runSweep", windowFirst, windowLast, source, telemetryOf(job, 0)});
+        0,
+        {.caller = "runSweep", .first = windowFirst, .last = windowLast,
+         .telemetry = telemetryOf(job, 0)});
   });
-  parallel(tasks, [&](std::size_t task, trace::ConditionSource* source) {
-    const std::size_t job = task / layout.chunkCount;
-    const std::size_t chunkFirst =
-        task % layout.chunkCount * layout.chunkIntervals;
+  parallel(tasks, [&](std::size_t task) {
+    const std::size_t job = task / chunkCount;
+    const std::size_t chunkFirst = task % chunkCount * chunkIntervals;
     // Clamp the chunk to the entity's window; chunks entirely outside
     // leave their partial empty (merging it is a no-op). Blocks sit at
     // absolute chunk boundaries, so the clamped fold still reproduces the
@@ -179,14 +154,14 @@ auto runSweep(const Engine& engine, const std::vector<Entity>& entities,
     // only on the task index.
     const auto [windowFirst, windowLast] = windows[job / schemeCount];
     const std::size_t first = std::max(chunkFirst, windowFirst);
-    const std::size_t last = std::min(
-        {chunkFirst + layout.chunkIntervals, layout.intervalCount, windowLast});
+    const std::size_t last =
+        std::min({chunkFirst + chunkIntervals, intervalCount, windowLast});
     if (first >= last) return;
     partials[task] = engine.score(
         entities[job / schemeCount], schemes[job % schemeCount],
         timelines[job],
-        {"runSweep", first, last, source,
-         telemetryOf(job, 1 + task % layout.chunkCount)});
+        {.caller = "runSweep", .first = first, .last = last,
+         .telemetry = telemetryOf(job, 1 + task % chunkCount)});
   });
 
   // Deterministic fold: each job's partials in ascending chunk order --
@@ -195,8 +170,8 @@ auto runSweep(const Engine& engine, const std::vector<Entity>& entities,
   out.results.resize(jobs);
   for (std::size_t job = 0; job < jobs; ++job) {
     RunPartial total;
-    for (std::size_t chunk = 0; chunk < layout.chunkCount; ++chunk)
-      total.merge(std::move(partials[job * layout.chunkCount + chunk]));
+    for (std::size_t chunk = 0; chunk < chunkCount; ++chunk)
+      total.merge(std::move(partials[job * chunkCount + chunk]));
     out.results[job] = engine.finalizePartial(entities[job / schemeCount],
                                               schemes[job % schemeCount],
                                               std::move(total));

@@ -1,7 +1,9 @@
 #include "routing/decision_memo.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
+#include <tuple>
 
 #include "routing/scheme.hpp"
 
@@ -22,6 +24,22 @@ std::uint64_t packKey(std::uint64_t contextKey, std::uint64_t fingerprint) {
   // Both components are dense interned ids, so 32 bits each is ample; the
   // packed key therefore stays exact (no lossy hashing).
   return (contextKey << 32) | (fingerprint & 0xFFFFFFFFULL);
+}
+
+/// Every field of a context, doubles by bit pattern: a total order that
+/// separates any two contexts contextKey() interns apart (equal kind and
+/// flow with different params included, e.g. per-receiver deadlines).
+auto valueOrder(const DecisionMemo::Snapshot::ContextEntry& c) {
+  const SchemeParams& p = c.params;
+  return std::tuple(
+      c.kind, c.flow.source, c.flow.destination,
+      std::bit_cast<std::uint64_t>(p.view.unusableLoss),
+      std::bit_cast<std::uint64_t>(p.view.degradedLoss),
+      std::bit_cast<std::uint64_t>(p.view.lossPenaltyFactor),
+      std::bit_cast<std::uint64_t>(p.detector.problemLoss),
+      p.detector.problemExtraLatency, p.detector.nodeMinLinks,
+      std::bit_cast<std::uint64_t>(p.detector.nodeMinFraction), p.deadline,
+      p.disjointPaths, p.holdDownIntervals);
 }
 
 }  // namespace
@@ -80,9 +98,15 @@ void DecisionMemo::edgeListInto(std::uint32_t id,
 DecisionMemo::Snapshot DecisionMemo::snapshot() const {
   const std::scoped_lock lock(mutex_);
   Snapshot snap;
+  // Interning ids record which worker got there first, so the snapshot
+  // orders by value: edge lists lexicographically (edgeListIndex_'s
+  // order), contexts by valueOrder.
+  std::vector<std::uint32_t> edgeListSlot(edgeLists_.size());
   snap.edgeLists.reserve(edgeLists_.size());
-  for (const std::vector<graph::EdgeId>* list : edgeLists_)
-    snap.edgeLists.push_back(*list);
+  for (const auto& [list, id] : edgeListIndex_) {
+    edgeListSlot[id] = static_cast<std::uint32_t>(snap.edgeLists.size());
+    snap.edgeLists.push_back(list);
+  }
   snap.contexts.resize(contexts_.size());
   for (std::size_t i = 0; i < contexts_.size(); ++i) {
     Snapshot::ContextEntry& entry = snap.contexts[i];
@@ -93,11 +117,18 @@ DecisionMemo::Snapshot DecisionMemo::snapshot() const {
   for (const auto& [packed, edgeListId] : decisions_) {
     const std::size_t context = static_cast<std::size_t>(packed >> 32);
     const std::uint64_t fingerprint = packed & 0xFFFFFFFFULL;
-    snap.contexts.at(context).decisions.emplace_back(fingerprint, edgeListId);
+    snap.contexts.at(context).decisions.emplace_back(
+        fingerprint,
+        edgeListId == kNoRoute ? kNoRoute : edgeListSlot.at(edgeListId));
   }
   for (Snapshot::ContextEntry& entry : snap.contexts) {
     std::sort(entry.decisions.begin(), entry.decisions.end());
   }
+  std::sort(snap.contexts.begin(), snap.contexts.end(),
+            [](const Snapshot::ContextEntry& a,
+               const Snapshot::ContextEntry& b) {
+              return valueOrder(a) < valueOrder(b);
+            });
   return snap;
 }
 

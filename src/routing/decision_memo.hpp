@@ -96,8 +96,11 @@ class DecisionMemo {
     std::vector<ContextEntry> contexts;
   };
 
-  /// Deterministic snapshot: contexts in interning order, decisions
-  /// sorted by fingerprint (serializing twice yields identical bytes).
+  /// Deterministic snapshot: edge lists in lexicographic order, contexts
+  /// in value order (kind, flow, then params), decisions sorted by
+  /// fingerprint. It depends only on the memo's contents, not on the
+  /// order they were interned in, so memos holding the same decisions
+  /// serialize to identical bytes at any thread count.
   Snapshot snapshot() const;
 
   /// Merges a snapshot in. Existing entries win on conflict (emplace

@@ -167,8 +167,8 @@ class PackedTraceReader {
 };
 
 /// ConditionSource over a packed trace: feeds ConditionTimeline cursors
-/// chunk by chunk, so playback over a packed trace never holds more than
-/// one decoded chunk. The reader must outlive the source.
+/// chunk by chunk, so a cursor pass over a packed trace never holds more
+/// than one decoded chunk. The reader must outlive the source.
 class PackedConditionSource final : public trace::ConditionSource {
  public:
   explicit PackedConditionSource(PackedTraceReader& reader);

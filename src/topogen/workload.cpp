@@ -25,6 +25,54 @@ util::SimTime toMicros(double seconds) {
                                  static_cast<util::SimTime>(std::llround(us)));
 }
 
+/// The spec parser of both fleets; `groups` admits the receivers-min /
+/// receivers-max keys.
+GroupWorkloadParams parseSpec(std::string_view spec, bool groups) {
+  const FamilySpec parsed = parseFamilySpec(spec);
+  GroupWorkloadParams params;
+  if (parsed.family == "poisson") {
+    params.base.arrival = ArrivalProcess::kPoisson;
+  } else if (parsed.family == "pareto") {
+    params.base.arrival = ArrivalProcess::kBoundedPareto;
+  } else {
+    badWorkload("unknown arrival process '" + parsed.family +
+                "' (expected poisson or pareto)");
+  }
+  for (const auto& [key, value] : parsed.params) {
+    if (key != "flows" && key != "seed" && key != "mean" && key != "alpha" &&
+        key != "min" && key != "max" && key != "duration" &&
+        key != "min-duration" && key != "gravity" &&
+        (!groups || (key != "receivers-min" && key != "receivers-max")))
+      badWorkload("unknown parameter '" + key + "'");
+  }
+  params.base.seed = parsed.seed();
+  params.base.flowCount =
+      static_cast<std::size_t>(parsed.getInt("flows", 1000, 1, 1'000'000));
+  params.base.meanInterarrivalSeconds = parsed.getDouble(
+      "mean", params.base.meanInterarrivalSeconds, 1e-6, 1e9);
+  params.base.paretoAlpha =
+      parsed.getDouble("alpha", params.base.paretoAlpha, 1e-6, 100.0);
+  params.base.paretoMinSeconds =
+      parsed.getDouble("min", params.base.paretoMinSeconds, 1e-6, 1e9);
+  params.base.paretoMaxSeconds =
+      parsed.getDouble("max", params.base.paretoMaxSeconds, 1e-6, 1e9);
+  params.base.meanDurationSeconds =
+      parsed.getDouble("duration", params.base.meanDurationSeconds, 1e-6, 1e9);
+  params.base.minDurationSeconds = parsed.getDouble(
+      "min-duration", params.base.minDurationSeconds, 1e-6, 1e9);
+  params.base.gravityExponent =
+      parsed.getDouble("gravity", params.base.gravityExponent, 0.0, 16.0);
+  params.receiversMin = static_cast<std::size_t>(
+      parsed.getInt("receivers-min", 2, 1, 1'000'000));
+  params.receiversMax = static_cast<std::size_t>(parsed.getInt(
+      "receivers-max", static_cast<std::int64_t>(
+                           std::max<std::size_t>(params.receiversMin, 4)),
+      1, 1'000'000));
+  if (params.receiversMax < params.receiversMin)
+    badWorkload("receivers-max must be >= receivers-min");
+  return params;
+}
+
 }  // namespace
 
 double boundedPareto(util::Rng& rng, double alpha, double lo, double hi) {
@@ -35,103 +83,17 @@ double boundedPareto(util::Rng& rng, double alpha, double lo, double hi) {
 
 FlowWorkload generateWorkload(const trace::Topology& topology,
                               const WorkloadParams& params) {
-  const std::size_t sites = topology.siteCount();
-  if (sites < 2) badWorkload("topology needs at least two sites");
-  if (params.flowCount == 0) badWorkload("flowCount must be positive");
-  if (params.meanInterarrivalSeconds <= 0 || params.meanDurationSeconds <= 0 ||
-      params.minDurationSeconds <= 0)
-    badWorkload("time parameters must be positive");
-  if (params.paretoAlpha <= 0 || params.paretoMinSeconds <= 0 ||
-      params.paretoMaxSeconds <= params.paretoMinSeconds)
-    badWorkload("bounded-Pareto parameters need alpha > 0 and max > min > 0");
-  if (params.gravityExponent < 0)
-    badWorkload("gravityExponent must be >= 0");
-
-  // Gravity weights: degree^exponent per site (out-degree == in-degree
-  // for these bidirectional overlays). A degree-0 site gets weight 0 and
-  // is never chosen; if every site is isolated, fall back to uniform.
-  std::vector<double> weights(sites);
-  double total = 0.0;
-  for (std::size_t i = 0; i < sites; ++i) {
-    const double degree = static_cast<double>(
-        topology.graph().outEdges(static_cast<graph::NodeId>(i)).size());
-    weights[i] = params.gravityExponent == 0.0
-                     ? 1.0
-                     : std::pow(degree, params.gravityExponent);
-    total += weights[i];
-  }
-  if (total <= 0.0) std::fill(weights.begin(), weights.end(), 1.0);
-
-  util::Rng rng(params.seed);
-  util::Rng arrivalRng = rng.fork();
-  util::Rng endpointRng = rng.fork();
-  util::Rng durationRng = rng.fork();
-
+  const GroupWorkload groups = generateGroupWorkload(
+      topology, {.base = params, .receiversMin = 1, .receiversMax = 1});
   FlowWorkload workload;
-  workload.flows.reserve(params.flowCount);
-  double clockSeconds = 0.0;
-  for (std::size_t i = 0; i < params.flowCount; ++i) {
-    clockSeconds += params.arrival == ArrivalProcess::kPoisson
-                        ? arrivalRng.exponential(params.meanInterarrivalSeconds)
-                        : boundedPareto(arrivalRng, params.paretoAlpha,  // dgcheck: ok(R6): arrivalRng is a dedicated forked stream and the arrival clock is a running sum, so draws are inherently sequential
-                                        params.paretoMinSeconds,
-                                        params.paretoMaxSeconds);
-    WorkloadFlow flow;
-    flow.start = toMicros(clockSeconds);
-    const double duration =
-        std::max(params.minDurationSeconds,
-                 durationRng.exponential(params.meanDurationSeconds));
-    flow.stop = flow.start + toMicros(duration);
-
-    const std::size_t src = endpointRng.weightedIndex(weights);
-    std::size_t dst = src;
-    for (int attempt = 0; dst == src && attempt < 64; ++attempt)
-      dst = endpointRng.weightedIndex(weights);
-    // Degenerate weight vectors (one positive entry) cannot produce a
-    // distinct destination by sampling; rotate deterministically.
-    if (dst == src) dst = (src + 1) % sites;
-    flow.flow.source = static_cast<graph::NodeId>(src);
-    flow.flow.destination = static_cast<graph::NodeId>(dst);
-    workload.flows.push_back(flow);
-  }
+  workload.flows.reserve(groups.groups.size());
+  for (const WorkloadGroup& g : groups.groups)
+    workload.flows.push_back({{g.source, g.receivers[0]}, g.start, g.stop});
   return workload;
 }
 
 WorkloadParams parseWorkloadSpec(std::string_view spec) {
-  const FamilySpec parsed = parseFamilySpec(spec);
-  WorkloadParams params;
-  if (parsed.family == "poisson") {
-    params.arrival = ArrivalProcess::kPoisson;
-  } else if (parsed.family == "pareto") {
-    params.arrival = ArrivalProcess::kBoundedPareto;
-  } else {
-    badWorkload("unknown arrival process '" + parsed.family +
-                "' (expected poisson or pareto)");
-  }
-  for (const auto& [key, value] : parsed.params) {
-    if (key != "flows" && key != "seed" && key != "mean" && key != "alpha" &&
-        key != "min" && key != "max" && key != "duration" &&
-        key != "min-duration" && key != "gravity")
-      badWorkload("unknown parameter '" + key + "'");
-  }
-  params.seed = parsed.seed();
-  params.flowCount = static_cast<std::size_t>(
-      parsed.getInt("flows", 1000, 1, 1'000'000));
-  params.meanInterarrivalSeconds =
-      parsed.getDouble("mean", params.meanInterarrivalSeconds, 1e-6, 1e9);
-  params.paretoAlpha =
-      parsed.getDouble("alpha", params.paretoAlpha, 1e-6, 100.0);
-  params.paretoMinSeconds =
-      parsed.getDouble("min", params.paretoMinSeconds, 1e-6, 1e9);
-  params.paretoMaxSeconds =
-      parsed.getDouble("max", params.paretoMaxSeconds, 1e-6, 1e9);
-  params.meanDurationSeconds =
-      parsed.getDouble("duration", params.meanDurationSeconds, 1e-6, 1e9);
-  params.minDurationSeconds =
-      parsed.getDouble("min-duration", params.minDurationSeconds, 1e-6, 1e9);
-  params.gravityExponent =
-      parsed.getDouble("gravity", params.gravityExponent, 0.0, 16.0);
-  return params;
+  return parseSpec(spec, false).base;
 }
 
 std::string workloadToString(const FlowWorkload& workload,
@@ -254,9 +216,9 @@ GroupWorkload generateGroupWorkload(const trace::Topology& topology,
   }
   if (total <= 0.0) std::fill(weights.begin(), weights.end(), 1.0);
 
-  // Fork order matches generateWorkload for the first three streams, so
-  // a group fleet shares the flow fleet's arrival clock and durations
-  // for equal base params; the size stream is new and comes last.
+  // The size stream is forked last and drawn only when the receiver
+  // count varies, so the one-receiver fleet (generateWorkload) draws from
+  // the first three streams alone.
   util::Rng rng(base.seed);
   util::Rng arrivalRng = rng.fork();
   util::Rng endpointRng = rng.fork();
@@ -313,49 +275,7 @@ GroupWorkload generateGroupWorkload(const trace::Topology& topology,
 }
 
 GroupWorkloadParams parseGroupWorkloadSpec(std::string_view spec) {
-  const FamilySpec parsed = parseFamilySpec(spec);
-  GroupWorkloadParams params;
-  if (parsed.family == "poisson") {
-    params.base.arrival = ArrivalProcess::kPoisson;
-  } else if (parsed.family == "pareto") {
-    params.base.arrival = ArrivalProcess::kBoundedPareto;
-  } else {
-    badWorkload("unknown arrival process '" + parsed.family +
-                "' (expected poisson or pareto)");
-  }
-  for (const auto& [key, value] : parsed.params) {
-    if (key != "flows" && key != "seed" && key != "mean" && key != "alpha" &&
-        key != "min" && key != "max" && key != "duration" &&
-        key != "min-duration" && key != "gravity" && key != "receivers-min" &&
-        key != "receivers-max")
-      badWorkload("unknown parameter '" + key + "'");
-  }
-  params.base.seed = parsed.seed();
-  params.base.flowCount =
-      static_cast<std::size_t>(parsed.getInt("flows", 1000, 1, 1'000'000));
-  params.base.meanInterarrivalSeconds = parsed.getDouble(
-      "mean", params.base.meanInterarrivalSeconds, 1e-6, 1e9);
-  params.base.paretoAlpha =
-      parsed.getDouble("alpha", params.base.paretoAlpha, 1e-6, 100.0);
-  params.base.paretoMinSeconds =
-      parsed.getDouble("min", params.base.paretoMinSeconds, 1e-6, 1e9);
-  params.base.paretoMaxSeconds =
-      parsed.getDouble("max", params.base.paretoMaxSeconds, 1e-6, 1e9);
-  params.base.meanDurationSeconds =
-      parsed.getDouble("duration", params.base.meanDurationSeconds, 1e-6, 1e9);
-  params.base.minDurationSeconds = parsed.getDouble(
-      "min-duration", params.base.minDurationSeconds, 1e-6, 1e9);
-  params.base.gravityExponent =
-      parsed.getDouble("gravity", params.base.gravityExponent, 0.0, 16.0);
-  params.receiversMin = static_cast<std::size_t>(
-      parsed.getInt("receivers-min", 2, 1, 1'000'000));
-  params.receiversMax = static_cast<std::size_t>(parsed.getInt(
-      "receivers-max", static_cast<std::int64_t>(
-                           std::max<std::size_t>(params.receiversMin, 4)),
-      1, 1'000'000));
-  if (params.receiversMax < params.receiversMin)
-    badWorkload("receivers-max must be >= receivers-min");
-  return params;
+  return parseSpec(spec, true);
 }
 
 std::string groupWorkloadToString(const GroupWorkload& workload,

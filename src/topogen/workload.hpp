@@ -75,15 +75,19 @@ struct FlowWorkload {
 /// Exposed for the distribution tests.
 double boundedPareto(util::Rng& rng, double alpha, double lo, double hi);
 
-/// Generates the fleet. Deterministic: equal (topology, params) pairs
-/// give identical workloads. Throws std::invalid_argument when the
-/// topology has fewer than two sites or a parameter is out of range.
+/// Generates the fleet: the one-receiver group fleet
+/// (generateGroupWorkload with receiversMin = receiversMax = 1), each
+/// group read as the flow to its receiver. Deterministic: equal
+/// (topology, params) pairs give identical workloads. Throws
+/// std::invalid_argument when the topology has fewer than two sites or a
+/// parameter is out of range.
 FlowWorkload generateWorkload(const trace::Topology& topology,
                               const WorkloadParams& params);
 
 /// Parses "poisson:..." / "pareto:..." spec strings (keys: flows, seed,
 /// mean, alpha, min, max, duration, min-duration, gravity). Throws
-/// std::invalid_argument on unknown process or parameter.
+/// std::invalid_argument on unknown process or parameter, the group
+/// fleet's receivers-min / receivers-max included.
 WorkloadParams parseWorkloadSpec(std::string_view spec);
 
 /// Exact text round-trip: "workload v1" header, then one
@@ -130,11 +134,11 @@ struct GroupWorkload {
   std::vector<WorkloadGroup> groups;
 };
 
-/// Generates a group fleet: same arrival/duration processes as
-/// generateWorkload (the arrival, endpoint, and duration RNG streams are
-/// forked in the same order, so a group fleet's clock matches the flow
-/// fleet's for equal base params), with the receiver set gravity-sampled
-/// without replacement. Throws std::invalid_argument when receiversMin
+/// Generates a group fleet: open-loop arrivals and exponential durations
+/// on their own forked RNG streams (so a group fleet's clock matches the
+/// flow fleet's for equal base params, whatever the receiver counts),
+/// the source and then the receiver set gravity-sampled without
+/// replacement from a third stream. Throws std::invalid_argument when receiversMin
 /// is 0, receiversMax < receiversMin, or receiversMax > siteCount - 1.
 GroupWorkload generateGroupWorkload(const trace::Topology& topology,
                                     const GroupWorkloadParams& params);

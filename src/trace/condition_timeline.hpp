@@ -48,11 +48,12 @@ class ConditionIndex {
   std::size_t distinct_ = 1;
 };
 
-/// Abstract per-interval deviation feed for timeline cursors. Backed by
-/// an in-memory Trace (adapter below) or by the packed-trace store's
-/// chunked reader, which decodes on demand and hands out spans into a
-/// reused workspace -- so a cursor can replay a multi-week packed trace
-/// with memory bounded by one chunk, never the whole trace.
+/// Abstract per-interval deviation feed for timeline cursors. An
+/// in-memory Trace needs none (ConditionTimeline reads it directly); the
+/// packed-trace store's chunked reader implements it, decoding on demand
+/// and handing out spans into a reused workspace -- so a cursor can
+/// replay a multi-week packed trace with memory bounded by one chunk,
+/// never the whole trace.
 class ConditionSource {
  public:
   virtual ~ConditionSource() = default;

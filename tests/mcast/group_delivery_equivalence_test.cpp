@@ -1,14 +1,8 @@
-// The group Monte-Carlo evaluator against its frozen per-sample oracle.
-//
-// onTimeCountsMCGroupReference below is the group sample loop as it was
-// before the evaluator moved onto the unicast evaluator's sampling front
-// end (block draws, SIMD classify, clean-path key mask, verdict-mask
-// memo). It is test-only and frozen: do not "improve" it -- its value is
-// being the unchanged baseline every kernel is proven bit-identical
-// against (per-receiver on-time counts, delivered histogram, final RNG
-// state). It is itself anchored to the first-principles unicast
-// reference (sampleHopLatency draws + std::priority_queue Dijkstra) for
-// one receiver.
+// The group Monte-Carlo evaluator against its frozen per-sample oracle,
+// oracle::onTimeCountsMCGroupReference (tests/oracle/): every kernel is
+// proven bit-identical to it in per-receiver on-time counts, delivered
+// histogram and final RNG state, and the oracle is itself anchored to the
+// first-principles unicast reference for one receiver.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +12,7 @@
 #include <vector>
 
 #include "graph/dissemination_graph.hpp"
+#include "oracle/delivery_oracle.hpp"
 #include "playback/delivery_model.hpp"
 #include "topogen/topogen.hpp"
 #include "util/rng.hpp"
@@ -27,143 +22,6 @@ namespace {
 
 using playback::DeliveryModelParams;
 using playback::DeliveryWorkspace;
-
-// Bounded earliest-arrival run of the evaluator's anonymous namespace,
-// frozen alongside the loop that calls it.
-bool distancesWithin(const graph::DisseminationGraph& dg,
-                     std::span<const util::SimTime> weights,
-                     util::SimTime deadline, DeliveryWorkspace& ws) {
-  const graph::Graph& overlay = dg.overlay();
-  const std::size_t nodeCount = overlay.nodeCount();
-  std::fill_n(ws.dist.begin(), static_cast<std::ptrdiff_t>(nodeCount),
-              util::kNever);
-  std::fill_n(ws.via.begin(), static_cast<std::ptrdiff_t>(nodeCount),
-              graph::kInvalidEdge);
-  ws.heap.clear();
-  ws.dist[dg.source()] = 0;
-  ws.heap.push(0, dg.source());
-  while (!ws.heap.empty()) {
-    const auto [d, u] = ws.heap.popMin();
-    if (d > ws.dist[u]) continue;
-    if (d > deadline) break;
-    for (const graph::EdgeId e : dg.outEdges(u)) {
-      if (weights[e] == util::kNever) continue;
-      const graph::NodeId v = overlay.edge(e).to;
-      const util::SimTime nd = d + weights[e];
-      if (nd < ws.dist[v]) {
-        ws.dist[v] = nd;
-        ws.via[v] = e;
-        ws.heap.push(nd, v);
-      }
-    }
-  }
-  return ws.dist[dg.destination()] <= deadline;
-}
-
-void onTimeCountsMCGroupReference(
-    const graph::DisseminationGraph& dg,
-    std::span<const graph::NodeId> receivers,
-    std::span<const util::SimTime> deadlines,
-    std::span<const double> lossRates,
-    std::span<const util::SimTime> latencies,
-    const DeliveryModelParams& params, int samples, util::Rng& rng,
-    std::span<int> onTimeCounts, std::span<int> deliveredHistogram) {
-  DeliveryWorkspace ws;
-  std::vector<char> groupCleanOnTime;
-  std::vector<char> groupMemberOnCleanPath;
-  const std::size_t receiverCount = receivers.size();
-  std::fill(onTimeCounts.begin(), onTimeCounts.end(), 0);
-  std::fill(deliveredHistogram.begin(), deliveredHistogram.end(), 0);
-  if (samples <= 0) return;
-  ws.prepare(dg.overlay());
-
-  util::SimTime maxDeadline = 0;
-  for (const util::SimTime d : deadlines) maxDeadline = std::max(maxDeadline, d);
-  distancesWithin(dg, latencies, maxDeadline, ws);
-  if (groupCleanOnTime.size() < receiverCount)
-    groupCleanOnTime.resize(receiverCount);
-  for (std::size_t r = 0; r < receiverCount; ++r) {
-    groupCleanOnTime[r] = ws.dist[receivers[r]] <= deadlines[r] ? 1 : 0;
-  }
-
-  const std::vector<graph::EdgeId>& members = dg.edges();
-  const std::size_t memberCount = members.size();
-  if (ws.mcThrOnTime.size() < memberCount) {
-    ws.mcThrOnTime.resize(memberCount);
-    ws.mcThrRecovered.resize(memberCount);
-    ws.mcLatency.resize(memberCount);
-    ws.mcRecoveredLatency.resize(memberCount);
-  }
-  constexpr double kScale53 = 9007199254740992.0;  // 2^53
-  for (std::size_t i = 0; i < memberCount; ++i) {
-    const double p = lossRates[members[i]];
-    const util::SimTime lat = latencies[members[i]];
-    ws.mcThrOnTime[i] =
-        static_cast<std::uint64_t>(std::ceil((1.0 - p) * kScale53));
-    ws.mcThrRecovered[i] =
-        params.recoveryEnabled
-            ? static_cast<std::uint64_t>(std::ceil((1.0 - p * p) * kScale53))
-            : ws.mcThrOnTime[i];
-    ws.mcLatency[i] = lat;
-    ws.mcRecoveredLatency[i] = 3 * lat + params.packetInterval;
-  }
-
-  if (groupMemberOnCleanPath.size() < memberCount)
-    groupMemberOnCleanPath.resize(memberCount);
-  std::fill_n(groupMemberOnCleanPath.begin(),
-              static_cast<std::ptrdiff_t>(memberCount), char{0});
-  {
-    const graph::Graph& overlay = dg.overlay();
-    for (std::size_t r = 0; r < receiverCount; ++r) {
-      if (groupCleanOnTime[r] == 0) continue;
-      for (graph::NodeId n = receivers[r]; n != dg.source();) {
-        const graph::EdgeId e = ws.via[n];
-        const std::size_t i = static_cast<std::size_t>(
-            std::lower_bound(members.begin(), members.end(), e) -
-            members.begin());
-        groupMemberOnCleanPath[i] = 1;
-        n = overlay.edge(e).from;
-      }
-    }
-  }
-
-  util::Rng localRng = rng;
-  for (int s = 0; s < samples; ++s) {
-    bool deviates = false;
-    bool touches = false;
-    for (std::size_t i = 0; i < memberCount; ++i) {
-      const std::uint64_t k = localRng.next() >> 11;
-      const util::SimTime hop = k < ws.mcThrOnTime[i] ? ws.mcLatency[i]
-                                : k < ws.mcThrRecovered[i]
-                                    ? ws.mcRecoveredLatency[i]
-                                    : util::kNever;
-      ws.sampledHop[members[i]] = hop;
-      if (hop != ws.mcLatency[i]) {
-        deviates = true;
-        touches |= groupMemberOnCleanPath[i] != 0;
-      }
-    }
-    int deliveredCount = 0;
-    if (deviates && touches) {
-      distancesWithin(dg, ws.sampledHop, maxDeadline, ws);
-      for (std::size_t r = 0; r < receiverCount; ++r) {
-        if (ws.dist[receivers[r]] <= deadlines[r]) {
-          ++onTimeCounts[r];
-          ++deliveredCount;
-        }
-      }
-    } else {
-      for (std::size_t r = 0; r < receiverCount; ++r) {
-        if (groupCleanOnTime[r] != 0) {
-          ++onTimeCounts[r];
-          ++deliveredCount;
-        }
-      }
-    }
-    ++deliveredHistogram[static_cast<std::size_t>(deliveredCount)];
-  }
-  rng = localRng;
-}
 
 /// Member edges in breadth-first discovery order from the source, so a
 /// prefix of any length is a graph rooted at the source.
@@ -203,8 +61,7 @@ std::vector<graph::NodeId> bfsNodes(const graph::Graph& g,
   return nodes;
 }
 
-// Every kernel (dispatch, fused scalar, portable block, AVX2 block when
-// the CPU has it) must match the frozen oracle in per-receiver counts,
+// Every kernel (dispatch, fused scalar, AVX2 block when the CPU has it) must match the frozen oracle in per-receiver counts,
 // histogram and final RNG state, across: sample counts inside and across
 // 32-sample blocks; member counts on both sides of the 16-edge dispatch
 // switch, the 32-edge key-word split and the 64-edge key limit; 1, 8 and
@@ -221,8 +78,7 @@ TEST(GroupDeliveryEquivalence, AllKernelsMatchReference) {
 
   std::vector<playback::detail::McKernel> kernels = {
       playback::detail::McKernel::kAuto,
-      playback::detail::McKernel::kFusedScalar,
-      playback::detail::McKernel::kBlockScalar};
+      playback::detail::McKernel::kFusedScalar};
   if (playback::detail::mcKernelSupported(
           playback::detail::McKernel::kBlockAvx2)) {
     kernels.push_back(playback::detail::McKernel::kBlockAvx2);
@@ -275,7 +131,7 @@ TEST(GroupDeliveryEquivalence, AllKernelsMatchReference) {
             std::vector<int> refCounts(receiverCount);
             std::vector<int> refHistogram(receiverCount + 1);
             util::Rng refRng(seed * 1000 + static_cast<std::uint64_t>(samples));
-            onTimeCountsMCGroupReference(dg, receivers, deadlines, losses,
+            oracle::onTimeCountsMCGroupReference(dg, receivers, deadlines, losses,
                                          latencies, params, samples, refRng,
                                          refCounts, refHistogram);
             const std::uint64_t refFinal = refRng.next();
@@ -295,7 +151,7 @@ TEST(GroupDeliveryEquivalence, AllKernelsMatchReference) {
               util::Rng unicastRng(seed * 1000 +
                                    static_cast<std::uint64_t>(samples));
               EXPECT_EQ(static_cast<double>(refCounts[0]) / samples,
-                        playback::onTimeProbabilityMCReference(
+                        oracle::onTimeProbabilityMCReference(
                             toReceiver, losses, latencies, unicast, samples,
                             unicastRng))
                   << "oracle vs unicast reference, members " << memberCount;

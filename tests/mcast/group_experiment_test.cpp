@@ -177,7 +177,7 @@ TEST(GroupReport, SummaryColumnsStaySeparatedAtFullUnavailability) {
   summary.averageCost = 12.5;
   result.summary = {summary};
 
-  const std::string table = renderGroupSummaryTable(result, tr, 1);
+  const std::string table = renderGroupSummaryTable(result, tr.duration(), 1);
   const std::size_t row = table.find("static-trees");
   ASSERT_NE(row, std::string::npos) << table;
   std::istringstream cells(table.substr(row, table.find('\n', row) - row));

@@ -8,6 +8,7 @@
 
 #include <vector>
 
+#include "oracle/delivery_oracle.hpp"
 #include "playback/delivery_model.hpp"
 #include "playback/experiment.hpp"
 #include "playback/playback.hpp"
@@ -231,13 +232,13 @@ TEST_F(GoldenEquivalence, MissTimelineMatchesReferenceEvaluators) {
         const std::vector<util::SimTime> latencies = trace_.latenciesAt(t);
         double expected = 0.0;
         if (playback::nearLossless(dg, losses, params_.lossEpsilon)) {
-          expected = playback::missProbabilityNearLosslessReference(
+          expected = oracle::missProbabilityNearLosslessReference(
               dg, losses, latencies, params_.delivery);
         } else {
           ++monteCarlo;
           util::Rng rng(playback::intervalSeed(
               params_.seed, flow.source, {&flow.destination, 1}, kind, t));
-          expected = 1.0 - playback::onTimeProbabilityMCReference(
+          expected = 1.0 - oracle::onTimeProbabilityMCReference(
                                dg, losses, latencies, params_.delivery,
                                params_.mcSamples, rng);
         }
@@ -282,21 +283,21 @@ TEST(DeliveryEquivalence, OptimizedEvaluatorsMatchReference) {
       util::Rng b(seed);
       const double optimized = playback::onTimeProbabilityMC(
           *dg_, losses, latencies, params, 300, a, ws);
-      const double reference = playback::onTimeProbabilityMCReference(
+      const double reference = oracle::onTimeProbabilityMCReference(
           *dg_, losses, latencies, params, 300, b);
       EXPECT_EQ(optimized, reference) << "seed " << seed;
       EXPECT_EQ(playback::missProbabilityNearLossless(*dg_, losses,
                                                       latencies, params,
                                                       ws),
-                playback::missProbabilityNearLosslessReference(
+                oracle::missProbabilityNearLosslessReference(
                     *dg_, losses, latencies, params))
           << "seed " << seed;
     }
   }
 }
 
-// Every batched Monte-Carlo kernel (fused scalar, portable SoA block,
-// AVX2 block when the CPU has it) must agree with the frozen reference
+// Every Monte-Carlo kernel (fused scalar, AVX2 block when the CPU has
+// it) must agree with the frozen reference
 // draw for draw: same verdicts, same final RNG state. Odd sample counts
 // straddle the block size so partial tail blocks are exercised, and the
 // graph set spans small member counts (scalar-dispatch territory), a
@@ -314,8 +315,7 @@ TEST(DeliveryEquivalence, AllKernelsMatchReferenceAcrossSeedsAndCounts) {
   }
 
   std::vector<playback::detail::McKernel> kernels = {
-      playback::detail::McKernel::kFusedScalar,
-      playback::detail::McKernel::kBlockScalar};
+      playback::detail::McKernel::kFusedScalar};
   if (playback::detail::mcKernelSupported(
           playback::detail::McKernel::kBlockAvx2)) {
     kernels.push_back(playback::detail::McKernel::kBlockAvx2);
@@ -339,7 +339,7 @@ TEST(DeliveryEquivalence, AllKernelsMatchReferenceAcrossSeedsAndCounts) {
           static_cast<const graph::DisseminationGraph*>(&floodingGraph)}) {
       for (const int samples : sampleCounts) {
         util::Rng refRng(seed);
-        const double reference = playback::onTimeProbabilityMCReference(
+        const double reference = oracle::onTimeProbabilityMCReference(
             *dg_, losses, latencies, params, samples, refRng);
         const std::uint64_t refFinal = refRng.next();
         for (const auto kernel : kernels) {

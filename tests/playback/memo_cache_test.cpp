@@ -102,6 +102,60 @@ TEST(DecisionMemoSnapshot, AbsorbRoundTripPreservesEverything) {
   EXPECT_EQ(copy.stats().edgeLists, original.stats().edgeLists);
 }
 
+TEST(DecisionMemoSnapshot, IndependentOfInterningOrder) {
+  // Parallel sweep workers reach the same decisions in whatever order
+  // they happen to run; the snapshot, and the sidecar written from it,
+  // must depend only on the decisions. Two contexts share kind and flow
+  // and differ only in params, as group receivers with per-receiver
+  // deadlines do.
+  struct Decision {
+    routing::SchemeKind kind;
+    routing::Flow flow;
+    util::SimTime deadline;
+    std::uint64_t fingerprint;
+    std::vector<graph::EdgeId> edges;  ///< empty = no route
+  };
+  const std::vector<Decision> decisions = {
+      {routing::SchemeKind::DynamicSinglePath, {1, 9}, util::milliseconds(65),
+       5, {3, 7, 11}},
+      {routing::SchemeKind::DynamicSinglePath, {1, 9}, util::milliseconds(80),
+       5, {2, 7}},
+      {routing::SchemeKind::StaticTwoDisjoint, {4, 2}, util::milliseconds(65),
+       9, {3, 7, 11}},
+      {routing::SchemeKind::DynamicSinglePath, {1, 9}, util::milliseconds(65),
+       12, {}},
+      {routing::SchemeKind::DynamicSinglePath, {0, 3}, util::milliseconds(80),
+       7, {1}},
+  };
+  const auto fill = [&](routing::DecisionMemo& memo, bool reversed) {
+    for (std::size_t i = 0; i < decisions.size(); ++i) {
+      const Decision& d = decisions[reversed ? decisions.size() - 1 - i : i];
+      routing::SchemeParams params;
+      params.deadline = d.deadline;
+      const std::uint64_t context = memo.contextKey(d.kind, d.flow, params);
+      memo.storeDecision(context, d.fingerprint,
+                         d.edges.empty() ? routing::DecisionMemo::kNoRoute
+                                         : memo.internEdgeList(d.edges));
+    }
+  };
+  routing::DecisionMemo forward;
+  routing::DecisionMemo backward;
+  fill(forward, false);
+  fill(backward, true);
+  expectSnapshotsEqual(forward.snapshot(), backward.snapshot());
+
+  const auto fileBytes = [](const routing::DecisionMemo& memo,
+                            const char* name) {
+    const std::string path = tempPath(name);
+    playback::saveMemoCache(path, 0xC0FFEEu, memo);
+    std::ifstream in(path, std::ios::binary);
+    return std::vector<char>(std::istreambuf_iterator<char>(in), {});
+  };
+  const std::vector<char> forwardBytes = fileBytes(forward, "fwd.dgmemo");
+  ASSERT_FALSE(forwardBytes.empty());
+  EXPECT_EQ(forwardBytes, fileBytes(backward, "bwd.dgmemo"));
+}
+
 TEST(DecisionMemoSnapshot, AbsorbKeepsExistingEntries) {
   routing::DecisionMemo memo;
   populate(memo);

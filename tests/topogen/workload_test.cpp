@@ -207,6 +207,8 @@ TEST(WorkloadSpec, ParsesAndRejects) {
   EXPECT_THROW(parseWorkloadSpec("uniform:flows=10"), std::invalid_argument);
   EXPECT_THROW(parseWorkloadSpec("poisson:bogus=1"), std::invalid_argument);
   EXPECT_THROW(parseWorkloadSpec("poisson:flows=0"), std::invalid_argument);
+  EXPECT_THROW(parseWorkloadSpec("poisson:receivers-min=2"),
+               std::invalid_argument);
 }
 
 TEST(WorkloadSerialization, TextAndFileRoundTripExactly) {
@@ -432,9 +434,8 @@ TEST(GroupWorkload, DeterministicWithValidatedReceiverSets) {
 }
 
 TEST(GroupWorkload, ArrivalClockMatchesFlowWorkloadForEqualBaseParams) {
-  // The arrival, endpoint, and duration streams are forked in the same
-  // order as generateWorkload, so the group fleet's spans line up with
-  // the flow fleet's exactly.
+  // Arrivals and durations draw from their own streams, so the group
+  // fleet's spans line up with the (one-receiver) flow fleet's exactly.
   const trace::Topology topo = trace::Topology::ltn12();
   WorkloadParams base;
   base.seed = 77;

@@ -705,7 +705,7 @@ int cmdMcast(const util::Config& args) {
 
   telemetry::Telemetry telemetry;
   mcast::GroupExperimentResult result;
-  std::optional<trace::Trace> tr;
+  util::SimTime traceDuration = 0;
   if (args.getBool("chunked", false)) {
     if (!args.has("trace") ||
         !store::isPackedTraceFile(args.getString("trace")))
@@ -713,21 +713,25 @@ int cmdMcast(const util::Config& args) {
           "--chunked needs --trace=FILE in the packed dgtrace format (see "
           "`dgnet trace pack`)");
     {
-      auto reader = store::PackedTraceReader::open(args.getString("trace"));
-      applyWindows(reader.info().intervalLength,
-                   static_cast<std::size_t>(reader.info().intervalCount));
-      tr.emplace(reader.readAll());
+      const auto reader =
+          store::PackedTraceReader::open(args.getString("trace"));
+      const store::PackedTraceInfo& info = reader.info();
+      applyWindows(info.intervalLength,
+                   static_cast<std::size_t>(info.intervalCount));
+      traceDuration =
+          info.intervalLength * static_cast<util::SimTime>(info.intervalCount);
     }
     result = mcast::runPackedGroupExperiment(
         topology.graph(), args.getString("trace"), config, &telemetry);
   } else {
-    tr.emplace(loadOrGenerateTrace(topology, args));
-    applyWindows(tr->intervalLength(), tr->intervalCount());
-    result = mcast::runGroupExperiment(topology.graph(), *tr, config,
-                                       &telemetry);
+    const auto tr = loadOrGenerateTrace(topology, args);
+    applyWindows(tr.intervalLength(), tr.intervalCount());
+    traceDuration = tr.duration();
+    result =
+        mcast::runGroupExperiment(topology.graph(), tr, config, &telemetry);
   }
 
-  std::cout << mcast::renderGroupSummaryTable(result, *tr,
+  std::cout << mcast::renderGroupSummaryTable(result, traceDuration,
                                               config.groups.size());
   if (args.getBool("per-group", false))
     std::cout << '\n' << mcast::renderPerGroupTable(result, config, topology);
