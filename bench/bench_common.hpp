@@ -4,8 +4,12 @@
 // EXPERIMENTS.md.
 #pragma once
 
+#include <array>
+#include <cstdio>
+#include <fstream>
 #include <iostream>
 #include <string>
+#include <thread>
 
 #include "playback/experiment.hpp"
 #include "trace/synth.hpp"
@@ -94,6 +98,83 @@ inline void printRunHeader(const std::string& title,
             << " intervals, " << synthetic.events.size() << " events; "
             << config.flows.size() << " flows, "
             << config.schemes.size() << " schemes\n\n";
+}
+
+#ifndef DG_BENCH_BUILD_TYPE
+#define DG_BENCH_BUILD_TYPE "unknown"
+#endif
+#ifndef DG_SOURCE_DIR
+#define DG_SOURCE_DIR "."
+#endif
+
+/// `s` as a JSON string literal (control characters become spaces).
+inline std::string jsonString(const std::string& s) {
+  std::string out = "\"";
+  for (const char c : s) {
+    if (c == '"' || c == '\\') out += '\\';
+    out += static_cast<unsigned char>(c) < 0x20 ? ' ' : c;
+  }
+  return out + "\"";
+}
+
+/// First line of a shell command's output, "unknown" when it fails.
+inline std::string commandLine(const std::string& command) {
+  std::FILE* pipe = ::popen(command.c_str(), "r");
+  if (pipe == nullptr) return "unknown";
+  std::array<char, 256> buffer{};
+  std::string line;
+  if (std::fgets(buffer.data(), static_cast<int>(buffer.size()), pipe))
+    line = buffer.data();
+  const int status = ::pclose(pipe);
+  while (!line.empty() && (line.back() == '\n' || line.back() == '\r'))
+    line.pop_back();
+  return status == 0 && !line.empty() ? line : "unknown";
+}
+
+inline std::string cpuModel() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t colon = line.find(':');
+    if (colon == std::string::npos) break;
+    const std::size_t start = line.find_first_not_of(' ', colon + 1);
+    return start == std::string::npos ? "unknown" : line.substr(start);
+  }
+  return "unknown";
+}
+
+/// Writes the `"machine"` member of a bench JSON: CPU model, AVX2 and
+/// AVX-512F support, hardware threads, compiler, build type and the git
+/// revision of the source tree (suffixed -dirty when it has uncommitted
+/// changes, "unknown" outside a git checkout). A number is only comparable
+/// with one recorded on the same machine fingerprint.
+inline void appendMachineJson(std::ostream& json) {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_cpu_init();
+  const bool avx2 = __builtin_cpu_supports("avx2") != 0;
+  const bool avx512f = __builtin_cpu_supports("avx512f") != 0;
+#else
+  const bool avx2 = false;
+  const bool avx512f = false;
+#endif
+#if defined(__clang__)
+  const std::string compiler = std::string("clang ") + __clang_version__;
+#else
+  const std::string compiler = std::string("gcc ") + __VERSION__;
+#endif
+  const std::string gitSha =
+      commandLine("git -C '" DG_SOURCE_DIR
+                  "' describe --always --dirty --abbrev=40 2>/dev/null");
+  json << "  \"machine\": {\n"
+       << "    \"cpu_model\": " << jsonString(cpuModel()) << ",\n"
+       << "    \"avx2\": " << (avx2 ? "true" : "false") << ",\n"
+       << "    \"avx512f\": " << (avx512f ? "true" : "false") << ",\n"
+       << "    \"cores\": " << std::thread::hardware_concurrency() << ",\n"
+       << "    \"compiler\": " << jsonString(compiler) << ",\n"
+       << "    \"build_type\": " << jsonString(DG_BENCH_BUILD_TYPE) << ",\n"
+       << "    \"git_sha\": " << jsonString(gitSha) << "\n"
+       << "  }";
 }
 
 }  // namespace dg::bench

@@ -21,8 +21,9 @@
 // to all arms equally, so the speedup stays a fair comparison.
 //
 // Keys: --days=7 --threads=1 --seed=S --mc_samples=N --out=FILE plus the
-// trace-generator keys of bench_common.hpp. With --baseline=FILE (a
-// previous BENCH_playback.json) the run acts as a regression gate: if
+// trace-generator keys of bench_common.hpp. The JSON ends with the
+// machine fingerprint (bench::appendMachineJson). With --baseline=FILE
+// (a previous BENCH_playback.json) the run acts as a regression gate: if
 // the optimized arm's intervals_per_second drops more than 10% below the
 // baseline's, the bench exits 3. The gate compares like with like only:
 // an unreadable baseline, or one whose days, mc_samples, threads, flows
@@ -431,8 +432,9 @@ int main(int argc, char** argv) {
        << "    \"decisions\": " << memoStats.decisions << ",\n"
        << "    \"edge_lists\": " << memoStats.edgeLists << ",\n"
        << "    \"contexts\": " << memoStats.contexts << "\n"
-       << "  }\n"
-       << "}\n";
+       << "  },\n";
+  bench::appendMachineJson(json);
+  json << "\n}\n";
 
   const std::string outPath =
       args.getString("out", "BENCH_playback.json");

@@ -9,7 +9,8 @@
 // ConditionTimeline), which must stay O(chunk), not O(trace).
 //
 // Keys: --days=7 --seed=S --chunk_intervals=N --out=FILE plus the
-// trace-generator keys of bench_common.hpp.
+// trace-generator keys of bench_common.hpp. The JSON ends with the
+// machine fingerprint (bench::appendMachineJson).
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -171,8 +172,9 @@ int main(int argc, char** argv) {
        << streamStats.peakPendingOps << ",\n"
        << "  \"cursor_sweep_allocations\": " << sweepAllocations << ",\n"
        << "  \"cursor_sweep_seconds\": " << sweepSeconds << ",\n"
-       << "  \"lossless\": " << (lossless ? "true" : "false") << "\n"
-       << "}\n";
+       << "  \"lossless\": " << (lossless ? "true" : "false") << ",\n";
+  bench::appendMachineJson(json);
+  json << "\n}\n";
 
   const std::string outPath =
       args.getString("out", "BENCH_trace_store.json");

@@ -6,33 +6,9 @@
 #include <utility>
 #include <vector>
 
-#if defined(__x86_64__) && defined(__GNUC__)
-#define DG_MC_HAVE_AVX2_TARGET 1
-#include <immintrin.h>
-#endif
-
 namespace dg::playback {
 
 namespace detail {
-
-namespace {
-// Test-only kernel pin; every kernel is bit-identical, so the selection
-// cannot affect results -- only which code path the equivalence tests
-// exercise.
-McKernel g_mcKernelOverride =  // dglint: ok(R3): test-only kernel pin
-    McKernel::kAuto;
-}  // namespace
-
-void setMcKernelForTest(McKernel kernel) { g_mcKernelOverride = kernel; }
-
-bool mcKernelSupported(McKernel kernel) {
-  if (kernel != McKernel::kBlockAvx2) return true;
-#if DG_MC_HAVE_AVX2_TARGET
-  return __builtin_cpu_supports("avx2") != 0;
-#else
-  return false;
-#endif
-}
 
 void DaryHeap::push(util::SimTime time, graph::NodeId node) {
   entries_.push_back(Entry{time, node});
@@ -114,18 +90,6 @@ void DeliveryWorkspace::prepare(const graph::Graph& overlay) {
   heap.clear();
 }
 
-util::SimTime sampleHopLatency(double lossRate, util::SimTime latency,
-                               const DeliveryModelParams& params,
-                               util::Rng& rng) {
-  const double u = rng.uniform();
-  if (u < 1.0 - lossRate) return latency;
-  if (!params.recoveryEnabled) return util::kNever;
-  if (u < 1.0 - lossRate * lossRate) {
-    return 3 * latency + params.packetInterval;
-  }
-  return util::kNever;
-}
-
 namespace {
 
 /// Earliest-arrival deadline check of the one-receiver Monte-Carlo sample
@@ -196,144 +160,127 @@ void distancesWithin(const graph::DisseminationGraph& dg,
   }
 }
 
-/// Samples per batched block. Bounded so the draw buffer (block *
-/// members * 8 bytes) stays inside L1 even for 64-member graphs.
-constexpr int kMcBlockSamples = 32;
+/// Loss rate from which a member edge takes one threshold draw per sample
+/// instead of geometric skips to its deviating samples. A skip costs a
+/// log and up to two draws per deviation (about 15 ns), a threshold draw
+/// one draw per sample (about 2.5 ns); over 1000 samples the two break
+/// even near p = 0.15 (4-vCPU Xeon, g++ 12 -O2; see DESIGN.md, "Sparse
+/// Monte Carlo").
+constexpr double kSkipLossCutoff = 0.15;
 
-#if DG_MC_HAVE_AVX2_TARGET
-/// AVX2 classify pass: 4 member edges per vector, fully branchless. Both
-/// sides of the threshold comparisons are 53-bit integers, so the signed
-/// 64-bit compares are exact; per-lane the outcome code is
-/// 2 + (k < thrOnTime) + (k < thrRecovered) with the compares as 0/-1
-/// masks (0 = on-time, 1 = recovered, 2 = lost), shifted into key
-/// position with a variable shift and OR-folded across the block.
-// dgcheck: hot
-__attribute__((target("avx2"))) void buildKeysAvx2(
-    const std::uint64_t* draws, std::size_t memberCount, int blockSamples,
-    const std::uint64_t* thrOnTime, const std::uint64_t* thrRecovered,
-    std::uint64_t* keyLo, std::uint64_t* keyHi) {
-  const __m256i laneShift = _mm256_set_epi64x(6, 4, 2, 0);
-  const __m256i two = _mm256_set1_epi64x(2);
-  for (int b = 0; b < blockSamples; ++b) {
-    const std::uint64_t* d =
-        draws + static_cast<std::size_t>(b) * memberCount;
-    __m256i accLo = _mm256_setzero_si256();
-    __m256i accHi = _mm256_setzero_si256();
-    std::size_t i = 0;
-    for (; i + 4 <= memberCount; i += 4) {
-      const __m256i k = _mm256_srli_epi64(
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(d + i)), 11);
-      const __m256i tOn = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(thrOnTime + i));
-      const __m256i tRec = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(thrRecovered + i));
-      const __m256i onTimeMask = _mm256_cmpgt_epi64(tOn, k);    // k < tOn
-      const __m256i recMask = _mm256_cmpgt_epi64(tRec, k);      // k < tRec
-      const __m256i code = _mm256_add_epi64(
-          two, _mm256_add_epi64(onTimeMask, recMask));
-      const __m256i shift = _mm256_add_epi64(
-          _mm256_set1_epi64x(2 * static_cast<long long>(i & 31)),
-          laneShift);
-      const __m256i contrib = _mm256_sllv_epi64(code, shift);
-      if (i < 32) {
-        accLo = _mm256_or_si256(accLo, contrib);
-      } else {
-        accHi = _mm256_or_si256(accHi, contrib);
-      }
-    }
-    // Horizontal OR of the four lanes (a lambda would lose the target
-    // attribute, so spelled out for both accumulators).
-    const __m128i foldedLo = _mm_or_si128(_mm256_castsi256_si128(accLo),
-                                          _mm256_extracti128_si256(accLo, 1));
-    std::uint64_t kLo =
-        static_cast<std::uint64_t>(_mm_cvtsi128_si64(foldedLo)) |
-        static_cast<std::uint64_t>(_mm_extract_epi64(foldedLo, 1));
-    const __m128i foldedHi = _mm_or_si128(_mm256_castsi256_si128(accHi),
-                                          _mm256_extracti128_si256(accHi, 1));
-    std::uint64_t kHi =
-        static_cast<std::uint64_t>(_mm_cvtsi128_si64(foldedHi)) |
-        static_cast<std::uint64_t>(_mm_extract_epi64(foldedHi, 1));
-    for (; i < memberCount; ++i) {  // scalar tail (memberCount % 4)
-      const std::uint64_t k = d[i] >> 11;
-      if (k >= thrOnTime[i]) [[unlikely]] {
-        const std::uint64_t code =
-            1 + static_cast<std::uint64_t>(k >= thrRecovered[i]);
-        (i < 32 ? kLo : kHi) |= code << (2 * (i & 31));
-      }
-    }
-    keyLo[b] = kLo;
-    keyHi[b] = kHi;
-  }
-}
-#endif  // DG_MC_HAVE_AVX2_TARGET
-
-/// Kernel dispatch: honor a test override, otherwise pick by measured
-/// profitability. The fused loop wins for small member counts (the
-/// classify work hides under the serial RNG dependency chain); the
-/// branchless AVX2 block pass wins once the per-sample classify is wide
-/// enough to amortize the draw-buffer round trip.
-detail::McKernel resolveMcKernel(std::size_t memberCount) {
-  using detail::McKernel;
-  const McKernel forced = detail::g_mcKernelOverride;
-  if (forced != McKernel::kAuto) return forced;
-#if DG_MC_HAVE_AVX2_TARGET
-  static const bool haveAvx2 = __builtin_cpu_supports("avx2") != 0;
-  if (haveAvx2 && memberCount >= 16) return McKernel::kBlockAvx2;
-#else
-  (void)memberCount;
-#endif
-  return McKernel::kFusedScalar;
-}
-
-/// Per-call sampling setup shared by both Monte-Carlo evaluators. Hoists
-/// the per-edge sampling arithmetic out of the sample loop and lets each
-/// draw classify on the raw 53-bit integer instead of the double:
-/// sampleHopLatency draws u = (next() >> 11) * 2^-53 and compares
-/// u < thr. Both u and thr * 2^53 are exact doubles (a 53-bit integer
-/// scaled by a power of two), so u < thr is *equivalent* to the integer
-/// comparison (next() >> 11) < ceil(thr * 2^53) -- every draw classifies
-/// identically, bit for bit. With recovery disabled the recovered
-/// threshold is pinned to the on-time one so that band is empty. Also
-/// pre-fills the sampled weights with the clean (on-time) outcome, which
-/// a pattern-memo miss patches the deviating edges into and back out of,
-/// clears the clean-path flags and starts a fresh memo epoch.
-void prepareSampling(const std::vector<graph::EdgeId>& members,
-                     std::span<const double> lossRates,
-                     std::span<const util::SimTime> latencies,
-                     const DeliveryModelParams& params,
-                     DeliveryWorkspace& ws) {
+/// Per-call sampling setup shared by both Monte-Carlo evaluators; returns
+/// the key stride (2 bits per member edge, in 64-bit words). Tabulates
+/// each member edge's on-time and recovered hop latencies and pre-fills
+/// the sampled weights with the clean outcome, which a pattern-memo miss
+/// patches the deviating edges into and back out of: on time, or lost for
+/// a dark (p >= 1) edge, which is lost in every sample and so takes part
+/// in the clean run and in no draw. Sizes the per-sample keys and
+/// deviation flags (all-zero between calls), clears the clean-path mask
+/// and starts a fresh memo epoch.
+std::size_t prepareSampling(const std::vector<graph::EdgeId>& members,
+                            std::span<const double> lossRates,
+                            std::span<const util::SimTime> latencies,
+                            const DeliveryModelParams& params, int samples,
+                            DeliveryWorkspace& ws) {
   const std::size_t memberCount = members.size();
-  if (ws.mcThrOnTime.size() < memberCount) {
-    ws.mcThrOnTime.resize(memberCount);
-    ws.mcThrRecovered.resize(memberCount);
+  const std::size_t stride = std::max<std::size_t>(1, (memberCount + 31) / 32);
+  const auto sampleCount = static_cast<std::size_t>(samples);
+  if (ws.mcLatency.size() < memberCount) {
     ws.mcLatency.resize(memberCount);
     ws.mcRecoveredLatency.resize(memberCount);
-    ws.mcOnCleanPath.resize(memberCount);
   }
-  constexpr double kScale53 = 9007199254740992.0;  // 2^53
+  if (ws.mcKeys.size() < sampleCount * stride)
+    ws.mcKeys.resize(sampleCount * stride);
+  if (ws.mcDeviates.size() < (sampleCount + 63) / 64)
+    ws.mcDeviates.resize((sampleCount + 63) / 64);
+  if (ws.mcCleanPath.size() < stride) ws.mcCleanPath.resize(stride);
+  std::fill_n(ws.mcCleanPath.begin(), static_cast<std::ptrdiff_t>(stride),
+              std::uint64_t{0});
   for (std::size_t i = 0; i < memberCount; ++i) {
-    const double p = lossRates[members[i]];
-    const util::SimTime lat = latencies[members[i]];
-    ws.mcThrOnTime[i] =
-        static_cast<std::uint64_t>(std::ceil((1.0 - p) * kScale53));
-    ws.mcThrRecovered[i] =
-        params.recoveryEnabled
-            ? static_cast<std::uint64_t>(std::ceil((1.0 - p * p) * kScale53))
-            : ws.mcThrOnTime[i];
+    const graph::EdgeId e = members[i];
+    const util::SimTime lat = latencies[e];
     ws.mcLatency[i] = lat;
     ws.mcRecoveredLatency[i] = 3 * lat + params.packetInterval;
-    ws.mcOnCleanPath[i] = 0;
-    ws.sampledHop[members[i]] = lat;
+    ws.sampledHop[e] = lossRates[e] >= 1.0 ? util::kNever : lat;
   }
   ws.outcomeCache.beginEpoch();
+  return stride;
 }
 
-/// The clean (all edges on time) run's verdict mask, bit r = receiver r
-/// on time, and the member edges of the earliest paths those verdicts
-/// rest on: as a key mask (even bit of each 2-bit slot) for keyed calls,
-/// as ws.mcOnCleanPath flags for the plain fallback. Sampled outcomes
-/// only ever slow an edge down (recovered > on-time, lost = never), which
-/// makes every verdict monotone in the clean one:
+/// The sparse sampler: draws only the (sample, member edge) outcomes that
+/// deviate from on time, edge by edge in member order, and ORs each one's
+/// 2-bit code (1 = recovered, 2 = lost) into the sample's key in
+/// ws.mcKeys, flagging the sample in ws.mcDeviates. Per member edge with
+/// loss rate p:
+///   - p <= 0 or p >= 1: no draws (never deviates / lost in the clean run);
+///   - p < kSkipLossCutoff: geometric skips, each one draw u in (0, 1]
+///     and floor(ln u / ln(1 - p)) on-time samples passed over, so every
+///     sample deviates independently w.p. p; with recovery a second draw
+///     makes the deviation lost w.p. p (= p^2 / p), without recovery it
+///     is always lost;
+///   - otherwise one draw per sample, classified on the raw 53-bit
+///     integer against ceil((1 - p) * 2^53) and ceil((1 - p^2) * 2^53).
+/// Either way an outcome is on time w.p. 1 - p, recovered w.p. p(1 - p)
+/// and lost w.p. p^2, independently across samples and edges. The draws
+/// come from a local copy of `rng` (its state words stay in registers),
+/// which `rng` takes over at the end.
+void drawDeviations(const std::vector<graph::EdgeId>& members,
+                    std::span<const double> lossRates,
+                    const DeliveryModelParams& params, int samples,
+                    std::size_t stride, util::Rng& rng,
+                    DeliveryWorkspace& ws) {
+  constexpr double kScale53 = 0x1.0p53;
+  const auto sampleCount = static_cast<std::size_t>(samples);
+  std::uint64_t* const deviates = ws.mcDeviates.data();
+  util::Rng localRng = rng;
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    const double p = lossRates[members[i]];
+    if (!(p > 0.0) || p >= 1.0) continue;
+    std::uint64_t* const key = ws.mcKeys.data() + (i >> 5);
+    const auto shift = static_cast<unsigned>(2 * (i & 31));
+    if (p < kSkipLossCutoff) {
+      const double skipScale = 1.0 / std::log1p(-p);
+      const auto lostThreshold =
+          static_cast<std::uint64_t>(std::ceil(p * kScale53));
+      for (std::size_t s = 0;; ++s) {
+        const double u =
+            static_cast<double>((localRng.next() >> 11) + 1) * 0x1.0p-53;
+        const double skip = std::floor(std::log(u) * skipScale);
+        // Also leaves on NaN (a p too small for log1p to resolve).
+        if (!(skip < static_cast<double>(sampleCount - s))) break;
+        s += static_cast<std::size_t>(skip);
+        const std::uint64_t code =
+            !params.recoveryEnabled || (localRng.next() >> 11) < lostThreshold
+                ? 2
+                : 1;
+        key[s * stride] |= code << shift;
+        deviates[s >> 6] |= std::uint64_t{1} << (s & 63);
+      }
+    } else {
+      const auto onTimeThreshold =
+          static_cast<std::uint64_t>(std::ceil((1.0 - p) * kScale53));
+      const std::uint64_t recoveredThreshold =
+          params.recoveryEnabled
+              ? static_cast<std::uint64_t>(std::ceil((1.0 - p * p) * kScale53))
+              : onTimeThreshold;
+      for (std::size_t s = 0; s < sampleCount; ++s) {
+        const std::uint64_t k = localRng.next() >> 11;
+        const std::uint64_t code =
+            static_cast<std::uint64_t>(k >= onTimeThreshold) +
+            static_cast<std::uint64_t>(k >= recoveredThreshold);
+        key[s * stride] |= code << shift;
+        deviates[s >> 6] |= static_cast<std::uint64_t>(code != 0) << (s & 63);
+      }
+    }
+  }
+  rng = localRng;
+}
+
+/// The clean run's verdict mask, bit r = receiver r on time, and the
+/// member edges of the earliest paths those verdicts rest on, in key
+/// layout (even bit of each 2-bit slot) in ws.mcCleanPath. Sampled
+/// outcomes only ever slow an edge down (recovered > on-time, lost =
+/// never), which makes every verdict monotone in the clean one:
 ///   - a receiver late in the clean run is late in every sample;
 ///   - when a sample's deviating edges all avoid the clean-on-time
 ///     receivers' earliest paths, those paths are intact and every clean
@@ -342,12 +289,11 @@ void prepareSampling(const std::vector<graph::EdgeId>& members,
 /// lookup or a Dijkstra run.
 struct CleanVerdict {
   std::uint64_t mask = 0;
-  std::uint64_t pathLo = 0;
-  std::uint64_t pathHi = 0;
+  std::span<std::uint64_t> path;
 
   /// Records `receiver` as on time in the clean run whose predecessor
-  /// edges ws.via holds, as verdict bit `bit`, with its earliest path.
-  /// Only the flags are kept past 64 member edges or receivers.
+  /// edges ws.via holds, as verdict bit `bit` (kept below 64 only), with
+  /// its earliest path.
   void addOnTime(const graph::DisseminationGraph& dg, DeliveryWorkspace& ws,
                  graph::NodeId receiver, std::size_t bit) {
     if (bit < 64) mask |= std::uint64_t{1} << bit;
@@ -357,160 +303,73 @@ struct CleanVerdict {
       const std::size_t i = static_cast<std::size_t>(
           std::lower_bound(members.begin(), members.end(), e) -
           members.begin());
-      ws.mcOnCleanPath[i] = 1;
-      if (i < 64)
-        (i < 32 ? pathLo : pathHi) |= std::uint64_t{1} << (2 * (i & 31));
+      path[i >> 5] |= std::uint64_t{1} << (2 * (i & 31));
       n = dg.overlay().edge(e).from;
     }
   }
 
   /// True when no deviating edge of the key lies on a clean earliest
-  /// path (covers the all-on-time key as well). Collapses each 2-bit code
-  /// to its even bit -- a pair is never 11 -- and intersects.
-  bool intact(std::uint64_t keyLo, std::uint64_t keyHi) const {
-    return (((keyLo | (keyLo >> 1)) & pathLo) |
-            ((keyHi | (keyHi >> 1)) & pathHi)) == 0;
+  /// path. Collapses each 2-bit code to its even bit -- a pair is never
+  /// 11 -- and intersects.
+  bool intact(const std::uint64_t* key) const {
+    std::uint64_t hit = 0;
+    for (std::size_t w = 0; w < path.size(); ++w)
+      hit |= (key[w] | (key[w] >> 1)) & path[w];
+    return hit == 0;
   }
 };
 
-/// Verdict mask of an outcome-pattern key that slows a clean earliest path
-/// down: the pattern's memoized verdict, else evaluate() run over the
-/// pre-filled clean weights with the key's deviating edges patched in (and
-/// restored after). Identical patterns imply identical Dijkstra runs, so
-/// the memo holds for the whole call.
+/// Verdict of a sample whose key slows a clean earliest path down:
+/// evaluate() run over the pre-filled clean weights with the key's
+/// deviating edges patched in (and restored after). With `memoized` (a
+/// key of at most two words) the verdict is looked up in and stored to
+/// the pattern memo: identical patterns imply identical Dijkstra runs, so
+/// it holds for the whole call.
 template <typename Evaluate>
-std::uint64_t memoizedVerdict(const std::vector<graph::EdgeId>& members,
-                              std::uint64_t keyLo, std::uint64_t keyHi,
-                              DeliveryWorkspace& ws, Evaluate&& evaluate) {
+std::uint64_t sampleVerdict(const std::vector<graph::EdgeId>& members,
+                            const std::uint64_t* key, std::size_t stride,
+                            bool memoized, DeliveryWorkspace& ws,
+                            Evaluate&& evaluate) {
   std::uint64_t verdict = 0;
-  if (ws.outcomeCache.find(keyLo, keyHi, verdict)) return verdict;
+  const std::uint64_t keyHi = stride > 1 ? key[1] : 0;
+  if (memoized && ws.outcomeCache.find(key[0], keyHi, verdict)) return verdict;
   // A code pair is never 11, so every set key bit identifies one
   // deviating edge -- even bit means recovered, odd bit means lost.
-  const auto patch = [&](std::uint64_t bits, std::size_t base, bool restore) {
-    while (bits != 0) {
-      const int b = std::countr_zero(bits);
-      bits &= bits - 1;
-      const std::size_t i = base + static_cast<std::size_t>(b >> 1);
-      ws.sampledHop[members[i]] = restore          ? ws.mcLatency[i]
-                                  : (b & 1) != 0 ? util::kNever
-                                                 : ws.mcRecoveredLatency[i];
+  const auto patch = [&](bool restore) {
+    for (std::size_t w = 0; w < stride; ++w) {
+      for (std::uint64_t bits = key[w]; bits != 0; bits &= bits - 1) {
+        const int b = std::countr_zero(bits);
+        const std::size_t i = 32 * w + static_cast<std::size_t>(b >> 1);
+        ws.sampledHop[members[i]] = restore          ? ws.mcLatency[i]
+                                    : (b & 1) != 0 ? util::kNever
+                                                   : ws.mcRecoveredLatency[i];
+      }
     }
   };
-  patch(keyLo, 0, false);
-  patch(keyHi, 32, false);
+  patch(false);
   verdict = evaluate();
-  patch(keyLo, 0, true);
-  patch(keyHi, 32, true);
-  ws.outcomeCache.store(verdict);
+  patch(true);
+  if (memoized) ws.outcomeCache.store(verdict);
   return verdict;
 }
 
-/// Verdict mask of one sample's outcome-pattern key. The clean-path test
-/// is the per-sample hot path and stays small enough to inline into the
-/// sample loop; only keys that hit the mask leave it.
-template <typename Evaluate>
-std::uint64_t patternVerdict(const CleanVerdict& clean,
-                             const std::vector<graph::EdgeId>& members,
-                             std::uint64_t keyLo, std::uint64_t keyHi,
-                             DeliveryWorkspace& ws, Evaluate&& evaluate) {
-  if (clean.intact(keyLo, keyHi)) return clean.mask;
-  return memoizedVerdict(members, keyLo, keyHi, ws, evaluate);
-}
-
-/// Sampling front end shared by both evaluators; prepareSampling must
-/// have run. Draws `samples` samples through a local generator, so the
-/// four state words live in registers for the whole loop nest (`rng` ends
-/// in the same state). When `keyed` (at most 64 member edges, so a
-/// 128-bit key holds 2 bits per edge) each sample's outcome-pattern key
-/// goes to onKey(keyLo, keyHi), in sample order, from the classify kernel
-/// resolveMcKernel picks. Otherwise each sample is drawn straight into
-/// ws.sampledHop and onWeights(touches) is called, `touches` being whether
-/// an edge flagged in ws.mcOnCleanPath left its on-time latency (if not,
-/// the sample has the clean verdict; see CleanVerdict). Every path
-/// consumes the same samples * memberCount draws in the same order.
-template <typename OnKey, typename OnWeights>
-void drawSamples(const std::vector<graph::EdgeId>& members, int samples,
-                 bool keyed, util::Rng& rng, DeliveryWorkspace& ws,
-                 OnKey&& onKey, OnWeights&& onWeights) {
-  const std::size_t memberCount = members.size();
-  util::Rng localRng = rng;
-
-  if (!keyed) {
-    for (int s = 0; s < samples; ++s) {
-      bool touches = false;
-      for (std::size_t i = 0; i < memberCount; ++i) {
-        const std::uint64_t k = localRng.next() >> 11;
-        const util::SimTime hop = k < ws.mcThrOnTime[i] ? ws.mcLatency[i]
-                                  : k < ws.mcThrRecovered[i]
-                                      ? ws.mcRecoveredLatency[i]
-                                      : util::kNever;
-        ws.sampledHop[members[i]] = hop;
-        if (hop != ws.mcLatency[i]) touches |= ws.mcOnCleanPath[i] != 0;
-      }
-      onWeights(touches);
-    }
-#if DG_MC_HAVE_AVX2_TARGET
-  } else if (resolveMcKernel(memberCount) == detail::McKernel::kBlockAvx2) {
-    // Batched SoA kernel: draw a whole block of samples into the draw
-    // buffer (sample-major -- byte-for-byte the order the fused loop
-    // consumes), classify the block into per-sample pattern keys, then
-    // score the keys in sample order. The RNG advances by exactly
-    // blockSamples * memberCount draws either way, so the caller-visible
-    // generator state and every verdict are bit-identical across
-    // kernels.
-    const std::size_t blockDraws =
-        static_cast<std::size_t>(kMcBlockSamples) * memberCount;
-    if (ws.mcDraws.size() < blockDraws) ws.mcDraws.resize(blockDraws);
-    if (ws.mcKeyLo.size() < static_cast<std::size_t>(kMcBlockSamples)) {
-      ws.mcKeyLo.resize(static_cast<std::size_t>(kMcBlockSamples));
-      ws.mcKeyHi.resize(static_cast<std::size_t>(kMcBlockSamples));
-    }
-    for (int s0 = 0; s0 < samples; s0 += kMcBlockSamples) {
-      const int blockSamples = std::min(kMcBlockSamples, samples - s0);
-      localRng.nextBlock(ws.mcDraws.data(),
-                         static_cast<std::size_t>(blockSamples) *
-                             memberCount);
-      buildKeysAvx2(ws.mcDraws.data(), memberCount, blockSamples,
-                    ws.mcThrOnTime.data(), ws.mcThrRecovered.data(),
-                    ws.mcKeyLo.data(), ws.mcKeyHi.data());
-      for (std::size_t b = 0; b < static_cast<std::size_t>(blockSamples);
-           ++b) {
-        onKey(ws.mcKeyLo[b], ws.mcKeyHi[b]);
-      }
-    }
-#endif
-  } else {
-    // Fused draw-and-classify loop: 2-bit outcome code per member edge
-    // (0 = on-time, 1 = recovered, 2 = lost; the thresholds nest, so
-    // 1 + the second comparison is the band index). The on-time branch
-    // is the overwhelmingly common case -- with baseline loss rates it
-    // is taken ~99.99% of the time -- so the key-building work is kept
-    // off that path entirely, and the classify work hides under the
-    // serial RNG dependency chain.
-    for (int s = 0; s < samples; ++s) {
-      std::uint64_t keyLo = 0;
-      std::uint64_t keyHi = 0;
-      const std::size_t lowCount = std::min<std::size_t>(memberCount, 32);
-      for (std::size_t i = 0; i < lowCount; ++i) {
-        const std::uint64_t k = localRng.next() >> 11;
-        if (k >= ws.mcThrOnTime[i]) [[unlikely]] {
-          const std::uint64_t code =
-              1 + static_cast<std::uint64_t>(k >= ws.mcThrRecovered[i]);
-          keyLo |= code << (2 * i);
-        }
-      }
-      for (std::size_t i = 32; i < memberCount; ++i) {
-        const std::uint64_t k = localRng.next() >> 11;
-        if (k >= ws.mcThrOnTime[i]) [[unlikely]] {
-          const std::uint64_t code =
-              1 + static_cast<std::uint64_t>(k >= ws.mcThrRecovered[i]);
-          keyHi |= code << (2 * (i - 32));
-        }
-      }
-      onKey(keyLo, keyHi);
+/// Calls onSample(key) for every sample that drew a deviation, in sample
+/// order, and clears its key and flag after; samples without one are
+/// never visited.
+template <typename OnSample>
+void forEachDeviatingSample(int samples, std::size_t stride,
+                            DeliveryWorkspace& ws, OnSample&& onSample) {
+  const std::size_t words = (static_cast<std::size_t>(samples) + 63) / 64;
+  for (std::size_t w = 0; w < words; ++w) {
+    for (std::uint64_t bits = std::exchange(ws.mcDeviates[w], 0); bits != 0;
+         bits &= bits - 1) {
+      const std::size_t s =
+          64 * w + static_cast<std::size_t>(std::countr_zero(bits));
+      std::uint64_t* const key = ws.mcKeys.data() + s * stride;
+      onSample(static_cast<const std::uint64_t*>(key));
+      std::fill_n(key, stride, std::uint64_t{0});
     }
   }
-  rng = localRng;
 }
 
 /// The one-receiver Monte-Carlo kernel: how many of `samples` samples
@@ -524,40 +383,28 @@ int onTimeSamples(const graph::DisseminationGraph& dg,
                   util::Rng& rng, DeliveryWorkspace& ws) {
   ws.prepare(dg.overlay());
   const std::vector<graph::EdgeId>& members = dg.edges();
-  prepareSampling(members, lossRates, latencies, params, ws);
+  const std::size_t stride =
+      prepareSampling(members, lossRates, latencies, params, samples, ws);
 
-  // Clean-sample shortcut: when every member edge draws its on-time
-  // transit outcome, the sampled array *equals* the latency array, so the
-  // per-sample Dijkstra would reproduce this no-loss run exactly --
-  // typically the majority of samples, since per-hop loss is well below 1
-  // even on problematic links. The RNG is still advanced identically for
-  // every sample, so results match the reference implementation bit for
-  // bit. Deviating samples that leave the clean earliest path intact are
-  // on time as well (CleanVerdict), and the rest repeat themselves, so
-  // their verdicts are memoized per outcome pattern. Graphs with more
-  // than 64 member edges overflow the 128-bit key and sample plainly.
-  distancesWithin(dg, latencies, deadline, ws);
+  // Every sample starts with the clean run's verdict; only samples whose
+  // deviations slow its earliest path down are re-scored, through the
+  // pattern memo (keys of up to 64 member edges) and Dijkstra.
+  distancesWithin(dg, ws.sampledHop, deadline, ws);
   const bool cleanOnTime = ws.dist[destination] <= deadline;
-  const bool keyed = members.size() <= 64;
-  CleanVerdict clean;
+  CleanVerdict clean{0, {ws.mcCleanPath.data(), stride}};
   if (cleanOnTime) clean.addOnTime(dg, ws, destination, 0);
 
-  int delivered = 0;
-  drawSamples(
-      members, samples, keyed, rng, ws,
-      [&](std::uint64_t keyLo, std::uint64_t keyHi) {
-        delivered += static_cast<int>(
-            patternVerdict(clean, members, keyLo, keyHi, ws, [&] {
-              return static_cast<std::uint64_t>(
-                  onTimeUnder(dg, destination, ws.sampledHop, deadline, ws));
-            }));
-      },
-      [&](bool touches) {
-        const bool onTime =
-            touches ? onTimeUnder(dg, destination, ws.sampledHop, deadline, ws)
-                    : cleanOnTime;
-        if (onTime) ++delivered;
-      });
+  drawDeviations(members, lossRates, params, samples, stride, rng, ws);
+  int delivered = cleanOnTime ? samples : 0;
+  forEachDeviatingSample(samples, stride, ws, [&](const std::uint64_t* key) {
+    if (clean.intact(key)) return;
+    const std::uint64_t onTime =
+        sampleVerdict(members, key, stride, stride <= 2, ws, [&] {
+          return static_cast<std::uint64_t>(
+              onTimeUnder(dg, destination, ws.sampledHop, deadline, ws));
+        });
+    if (onTime == 0) --delivered;
+  });
   return delivered;
 }
 
@@ -740,28 +587,27 @@ void countsReceiverSet(const graph::DisseminationGraph& dg,
   const std::size_t receiverCount = receivers.size();
   ws.prepare(dg.overlay());
   const std::vector<graph::EdgeId>& members = dg.edges();
-  prepareSampling(members, lossRates, latencies, params, ws);
+  const std::size_t stride =
+      prepareSampling(members, lossRates, latencies, params, samples, ws);
 
-  // One clean (all edges on time) run bounded by the loosest deadline
-  // finalizes every receiver: a receiver left beyond maxDeadline has true
-  // arrival beyond *every* deadline. The same bound serves every sample.
+  // One clean run bounded by the loosest deadline finalizes every
+  // receiver: a receiver left beyond maxDeadline has true arrival beyond
+  // *every* deadline. The same bound serves every sample.
   util::SimTime maxDeadline = 0;
   for (const util::SimTime d : deadlines) maxDeadline = std::max(maxDeadline, d);
-  distancesWithin(dg, latencies, maxDeadline, ws);
+  distancesWithin(dg, ws.sampledHop, maxDeadline, ws);
 
-  // The unicast shortcuts, per receiver: the pattern memo holds a
-  // receiver bitmask, so it needs a 128-bit key and at most 64 receivers.
-  const bool keyed = members.size() <= 64 && receiverCount <= 64;
-  CleanVerdict clean;
+  // The unicast shortcuts, per receiver. A verdict is a receiver bitmask,
+  // so past 64 receivers each re-scored sample is tallied straight off
+  // its Dijkstra run instead, and the memo is off.
+  const bool maskVerdicts = receiverCount <= 64;
+  CleanVerdict clean{0, {ws.mcCleanPath.data(), stride}};
   for (std::size_t r = 0; r < receiverCount; ++r) {
     if (ws.dist[receivers[r]] <= deadlines[r])
       clean.addOnTime(dg, ws, receivers[r], r);
   }
   // dgcheck: setup end
 
-  // Samples with the clean verdict are only counted here and tallied once
-  // at the end; integer tallies do not depend on the order.
-  int cleanSamples = 0;
   const auto tallyMask = [&](std::uint64_t mask, int weight) {
     for (std::uint64_t m = mask; m != 0; m &= m - 1)
       onTimeCounts[static_cast<std::size_t>(std::countr_zero(m))] += weight;
@@ -779,37 +625,35 @@ void countsReceiverSet(const graph::DisseminationGraph& dg,
     }
     deliveredHistogram[deliveredCount] += weight;
   };
-  drawSamples(
-      members, samples, keyed, rng, ws,
-      [&](std::uint64_t keyLo, std::uint64_t keyHi) {
-        const std::uint64_t verdict =
-            patternVerdict(clean, members, keyLo, keyHi, ws, [&] {
-              distancesWithin(dg, ws.sampledHop, maxDeadline, ws);
-              std::uint64_t onTime = 0;
-              for (std::size_t r = 0; r < receiverCount; ++r) {
-                if (ws.dist[receivers[r]] <= deadlines[r])
-                  onTime |= std::uint64_t{1} << r;
-              }
-              return onTime;
-            });
-        if (verdict == clean.mask) {
-          ++cleanSamples;
-        } else {
-          tallyMask(verdict, 1);
-        }
-      },
-      [&](bool touches) {
-        if (!touches) {
-          ++cleanSamples;
-          return;
-        }
-        distancesWithin(dg, ws.sampledHop, maxDeadline, ws);
-        tallyDist(1);
-      });
-  if (keyed) {
+  const auto evaluate = [&] {
+    distancesWithin(dg, ws.sampledHop, maxDeadline, ws);
+    std::uint64_t onTime = 0;
+    if (!maskVerdicts) {
+      tallyDist(1);
+      return onTime;
+    }
+    for (std::size_t r = 0; r < receiverCount; ++r) {
+      if (ws.dist[receivers[r]] <= deadlines[r])
+        onTime |= std::uint64_t{1} << r;
+    }
+    return onTime;
+  };
+
+  // Samples with the clean verdict are only counted here and tallied once
+  // at the end; integer tallies do not depend on the order.
+  drawDeviations(members, lossRates, params, samples, stride, rng, ws);
+  int cleanSamples = samples;
+  forEachDeviatingSample(samples, stride, ws, [&](const std::uint64_t* key) {
+    if (clean.intact(key)) return;
+    --cleanSamples;
+    const std::uint64_t verdict = sampleVerdict(
+        members, key, stride, stride <= 2 && maskVerdicts, ws, evaluate);
+    if (maskVerdicts) tallyMask(verdict, 1);
+  });
+  if (maskVerdicts) {
     tallyMask(clean.mask, cleanSamples);
   } else {
-    distancesWithin(dg, latencies, maxDeadline, ws);
+    distancesWithin(dg, ws.sampledHop, maxDeadline, ws);
     tallyDist(cleanSamples);
   }
 }

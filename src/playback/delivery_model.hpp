@@ -64,16 +64,16 @@ class DaryHeap {
 };
 
 /// Per-Monte-Carlo-call memo of sampled outcome patterns. Within one call
-/// every member edge draws one of three outcomes (on-time / recovered /
+/// every member edge takes one of three outcomes (on-time / recovered /
 /// lost), so a sample's effective weight vector is fully described by 2
 /// bits per member edge -- and with realistic loss rates only a handful
 /// of patterns ever occur across the 1000 samples. Caching the Dijkstra
-/// verdict per pattern skips the redundant re-runs while every RNG draw
-/// still happens, so results are bit-identical to evaluating each sample
-/// directly. The verdict is a receiver bitmask (bit r = receiver r on
-/// time; the unicast evaluator uses bit 0 only). Epoch-tagged open
-/// addressing: beginEpoch() is O(1), lookups probe a bounded window and
-/// simply decline to cache on contention.
+/// verdict per pattern skips the redundant re-runs; a pattern's verdict
+/// does not depend on which sample drew it, so results are identical to
+/// evaluating each sample directly. The verdict is a receiver bitmask
+/// (bit r = receiver r on time; the unicast evaluator uses bit 0 only).
+/// Epoch-tagged open addressing: beginEpoch() is O(1), lookups probe a
+/// bounded window and simply decline to cache on contention.
 class SampleOutcomeCache {
  public:
   /// Starts a new memo epoch, logically clearing all entries.
@@ -103,24 +103,6 @@ class SampleOutcomeCache {
   std::size_t pending_ = kNoSlot;
 };
 
-/// Monte-Carlo classify-kernel selection. The fused kernel is the
-/// original draw-and-classify loop; the batched AVX2 kernel draws RNG
-/// outcomes for a whole block of samples at once (structure-of-arrays
-/// draw buffer) and then classifies the block against the per-edge 53-bit
-/// thresholds. The unicast and the group evaluator run on the same
-/// kernels and dispatch. Both kernels consume draws in the identical
-/// order and produce bit-identical results -- kAuto picks per call based
-/// on runtime CPU support and the member-edge count, and the forced
-/// values let the equivalence suites pin every kernel against the frozen
-/// references.
-enum class McKernel { kAuto, kFusedScalar, kBlockAvx2 };
-
-/// Forces a kernel for testing (kAuto restores normal dispatch). Not
-/// thread-safe; flip it only from single-threaded test setup.
-void setMcKernelForTest(McKernel kernel);
-/// True if this process can execute the given kernel.
-bool mcKernelSupported(McKernel kernel);
-
 }  // namespace detail
 
 /// Caller-owned scratch memory for the delivery evaluators. One workspace
@@ -134,45 +116,37 @@ struct DeliveryWorkspace {
   std::vector<graph::EdgeId> via;         ///< per-node predecessor edge
   detail::DaryHeap heap;
   detail::SampleOutcomeCache outcomeCache;
-  /// Per-member-edge sampling tables, rebuilt per Monte-Carlo call (by
-  /// both evaluators): the hop-outcome thresholds as exact 53-bit integers
-  /// (see prepareSampling in delivery_model.cpp for the u < thr
-  /// equivalence proof) and the
-  /// on-time / recovered hop latencies, laid out densely in
-  /// dissemination-graph edge order.
-  std::vector<std::uint64_t> mcThrOnTime;
-  std::vector<std::uint64_t> mcThrRecovered;
+  /// Per-member-edge hop latencies in dissemination-graph edge order,
+  /// rebuilt per Monte-Carlo call: on time, and recovered (3*lat +
+  /// packetInterval). A pattern-memo miss patches deviating edges into
+  /// sampledHop from these and restores them after.
   std::vector<util::SimTime> mcLatency;
   std::vector<util::SimTime> mcRecoveredLatency;
-  /// Per member edge: lies on a clean-on-time earliest path (the plain
-  /// fallback's form of the clean-path key mask).
-  std::vector<char> mcOnCleanPath;
-  /// Structure-of-arrays block buffers for the batched Monte-Carlo
-  /// kernels: raw RNG draws for a block of samples (sample-major, so the
-  /// draw order equals the reference's), and the per-sample 2-bit
-  /// outcome-pattern keys classified from them.
-  std::vector<std::uint64_t> mcDraws;
-  std::vector<std::uint64_t> mcKeyLo;
-  std::vector<std::uint64_t> mcKeyHi;
+  /// Sparse Monte-Carlo sampler state. mcKeys holds each sample's
+  /// deviations as 2 bits per member edge (1 = recovered, 2 = lost),
+  /// ceil(members / 32) words per sample; mcDeviates has bit s set when
+  /// sample s drew any deviation. Both are all-zero between calls: the
+  /// verdict pass clears what the draws set. mcCleanPath marks, in key
+  /// layout, the member edges of the clean run's on-time earliest paths.
+  std::vector<std::uint64_t> mcKeys;
+  std::vector<std::uint64_t> mcDeviates;
+  std::vector<std::uint64_t> mcCleanPath;
 
   /// Ensures the per-edge/per-node arrays cover `overlay`.
   void prepare(const graph::Graph& overlay);
 };
 
-/// Effective hop outcome distribution on a link with loss rate p and
-/// latency `lat`:
+/// Monte-Carlo estimate of P(packet delivered within deadline) when
+/// flooded on `dg` under the given per-edge conditions. In each sample
+/// every member edge with loss rate p independently takes one outcome:
 ///   on-time transit  w.p. (1-p)          after lat
 ///   recovered        w.p. p(1-p)         after 3*lat + packetInterval
 ///   lost             w.p. p^2
-/// (without recovery: transit w.p. 1-p, lost w.p. p).
-util::SimTime sampleHopLatency(double lossRate, util::SimTime latency,
-                               const DeliveryModelParams& params,
-                               util::Rng& rng);
-
-/// Monte-Carlo estimate of P(packet delivered within deadline) when
-/// flooded on `dg` under the given per-edge conditions. Scratch memory
-/// comes from `workspace`; for a given rng state the result does not
-/// depend on the workspace's prior contents.
+/// (without recovery: transit w.p. 1-p, lost w.p. p). Only the deviating
+/// (sample, edge) outcomes are drawn, so how far `rng` advances depends
+/// on the loss rates; an edge with p = 0 or p >= 1 takes no draws.
+/// Scratch memory comes from `workspace`; for a given rng state the
+/// result does not depend on the workspace's prior contents.
 double onTimeProbabilityMC(const graph::DisseminationGraph& dg,
                            std::span<const double> lossRates,
                            std::span<const util::SimTime> latencies,
@@ -213,8 +187,8 @@ bool nearLossless(const graph::DisseminationGraph& dg,
 // Receiver-set evaluators, the ones the playback step runs. One flooded
 // send on `dg` is scored against every receiver's own deadline; a
 // unicast flow is the one-receiver case. For a single receiver these are
-// bit-identical to the unicast evaluators above (same RNG draw
-// discipline, same Dijkstra, same arithmetic) -- pinned by test.
+// bit-identical to the unicast evaluators above (same sampler, same
+// Dijkstra, same arithmetic) -- pinned by test.
 // ---------------------------------------------------------------------
 
 /// Near-lossless group evaluation: one unbounded earliest-arrival run,
@@ -242,14 +216,13 @@ void groupCleanArrivals(const graph::DisseminationGraph& dg,
                         DeliveryWorkspace& workspace,
                         std::span<util::SimTime> arrivalOut);
 
-/// Monte-Carlo group evaluation: for each sample every member edge draws
-/// its hop outcome exactly as the unicast evaluator does (identical RNG
-/// stream; `rng` is advanced by samples * memberCount draws), and every
-/// receiver gets an on-time verdict against its own deadline. A single
-/// receiver runs the unicast kernel of onTimeProbabilityMC; more run on
-/// its sampling front end (block draws, classify kernels, clean-path
-/// mask, pattern memo holding a per-receiver verdict mask), and with more
-/// than 64 member edges or receivers sample plainly.
+/// Monte-Carlo group evaluation: the samples are drawn exactly as the
+/// unicast evaluator draws them (same sparse sampler, same RNG stream),
+/// and every receiver gets an on-time verdict against its own deadline.
+/// A single receiver runs the unicast kernel of onTimeProbabilityMC; more
+/// share its clean-path check and its pattern memo (holding a
+/// per-receiver verdict mask), which is skipped past 64 member edges or
+/// receivers.
 /// onTimeCounts[i] (receiver count) accumulates per-receiver on-time
 /// samples; deliveredHistogram[c] (receiver count + 1) counts samples
 /// delivered on time to exactly c receivers -- delivered-to-all is the

@@ -46,33 +46,6 @@ class Rng {
     return result;
   }
 
-  /// Fills out[0..n) with the next n raw 64-bit draws. Produces exactly
-  /// the sequence n consecutive next() calls would -- the batched
-  /// Monte-Carlo evaluator relies on this to stay draw-for-draw
-  /// identical to the scalar reference -- but keeps the generator state
-  /// in locals for the duration of the fill so the compiler can hold it
-  /// in registers across the loop.
-  void nextBlock(std::uint64_t* out, std::size_t n) {
-    std::uint64_t s0 = state_[0];
-    std::uint64_t s1 = state_[1];
-    std::uint64_t s2 = state_[2];
-    std::uint64_t s3 = state_[3];
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i] = rotl(s1 * 5, 7) * 9;
-      const std::uint64_t t = s1 << 17;
-      s2 ^= s0;
-      s3 ^= s1;
-      s1 ^= s2;
-      s0 ^= s3;
-      s2 ^= t;
-      s3 = rotl(s3, 45);
-    }
-    state_[0] = s0;
-    state_[1] = s1;
-    state_[2] = s2;
-    state_[3] = s3;
-  }
-
   /// Uniform double in [0, 1): uses the top 53 bits.
   double uniform() {
     return static_cast<double>(next() >> 11) * 0x1.0p-53;

@@ -1,13 +1,16 @@
 // The group Monte-Carlo evaluator against its frozen per-sample oracle,
-// oracle::onTimeCountsMCGroupReference (tests/oracle/): every kernel is
-// proven bit-identical to it in per-receiver on-time counts, delivered
-// histogram and final RNG state, and the oracle is itself anchored to the
-// first-principles unicast reference for one receiver.
+// oracle::onTimeCountsMCGroupReference (tests/oracle/): per-receiver
+// on-time counts and the delivered histogram agree within sampling
+// tolerance (the sparse sampler draws a different stream of the same
+// distribution), one receiver is bit-identical to the unicast evaluator,
+// and the oracle is itself anchored to the first-principles unicast
+// reference for one receiver.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <numeric>
 #include <span>
 #include <vector>
 
@@ -61,13 +64,35 @@ std::vector<graph::NodeId> bfsNodes(const graph::Graph& g,
   return nodes;
 }
 
-// Every kernel (dispatch, fused scalar, AVX2 block when the CPU has it) must match the frozen oracle in per-receiver counts,
-// histogram and final RNG state, across: sample counts inside and across
-// 32-sample blocks; member counts on both sides of the 16-edge dispatch
-// switch, the 32-edge key-word split and the 64-edge key limit; 1, 8 and
-// 65 receivers (65 exceeds the verdict mask); dark (p = 1) and loss-free
+/// Per-bin agreement of two count vectors over `samplesA` and `samplesB`
+/// samples, within oracle::mcEstimatesAgree.
+testing::AssertionResult countsAgree(const std::vector<int>& a, int samplesA,
+                                     const std::vector<int>& b,
+                                     int samplesB) {
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const double fa = static_cast<double>(a[i]) / samplesA;
+    const double fb = static_cast<double>(b[i]) / samplesB;
+    if (!oracle::mcEstimatesAgree(fa, samplesA, fb, samplesB))
+      return testing::AssertionFailure()
+             << "bin " << i << ": " << fa << " vs reference " << fb;
+  }
+  return testing::AssertionSuccess();
+}
+
+// The group evaluator against the frozen oracle within sampling tolerance
+// of a 2000-sample oracle run, in per-receiver counts and histogram. Runs
+// of 257 and 1000 samples are compared on their own; the short runs of 1,
+// 31, 33, 63, 64 and 65 samples, on both sides of the 64-sample
+// deviation-flag words, are summed and their 257-sample totals compared
+// (thousands of bins are checked, and a single short run's binomial tails
+// are too far from normal for the 4-sigma bound), and each must have a
+// histogram that sums to its sample count.
+// Inputs span member counts across the 32-edge key-word split, the
+// 64-edge memo limit and beyond (wider keys, no memo); 1, 8 and 65
+// receivers (65 exceeds the verdict mask); dark (p = 1) and loss-free
 // edges; recovery on and off; receivers late, tight and loose in the
-// clean run.
+// clean run. One receiver must also equal the unicast evaluator bit for
+// bit, final RNG state included.
 TEST(GroupDeliveryEquivalence, AllKernelsMatchReference) {
   const trace::Topology topology =
       topogen::generateTopology("scale-free:n=80,m=2,seed=5");
@@ -76,18 +101,12 @@ TEST(GroupDeliveryEquivalence, AllKernelsMatchReference) {
   const std::vector<graph::EdgeId> order = bfsEdgeOrder(g, source);
   ASSERT_GE(order.size(), 90u);
 
-  std::vector<playback::detail::McKernel> kernels = {
-      playback::detail::McKernel::kAuto,
-      playback::detail::McKernel::kFusedScalar};
-  if (playback::detail::mcKernelSupported(
-          playback::detail::McKernel::kBlockAvx2)) {
-    kernels.push_back(playback::detail::McKernel::kBlockAvx2);
-  }
-
   const std::size_t memberCounts[] = {8, 15, 16, 17, 31, 32, 33, 63, 64, 65,
                                       90};
   const std::size_t receiverCounts[] = {1, 8, 65};
-  const int sampleCounts[] = {1, 31, 33, 63, 65, 257};
+  const int sampleCounts[] = {1, 31, 33, 63, 64, 65, 257, 1000};
+  constexpr int kPooledBelow = 257;  // runs shorter than this are summed
+  constexpr int kReferenceSamples = 2000;
   DeliveryWorkspace ws;  // one workspace across every call
   std::vector<util::SimTime> clean;
   // Calls whose samples disagree with one another (two or more non-empty
@@ -124,71 +143,93 @@ TEST(GroupDeliveryEquivalence, AllKernelsMatchReference) {
                          : r % 3 == 1 ? at        // tight: no slack at all
                                       : at - 1;   // late in the clean run
         }
+        DeliveryModelParams unicast;
+        unicast.deadline = deadlines[0];
+        graph::DisseminationGraph toReceiver(g, source, receivers[0]);
+        for (std::size_t i = 0; i < memberCount; ++i)
+          toReceiver.addEdge(order[i]);
         for (const bool recovery : {true, false}) {
           DeliveryModelParams params;
           params.recoveryEnabled = recovery;
+          unicast.recoveryEnabled = recovery;
+          std::vector<int> refCounts(receiverCount);
+          std::vector<int> refHistogram(receiverCount + 1);
+          util::Rng refRng(seed);
+          oracle::onTimeCountsMCGroupReference(
+              dg, receivers, deadlines, losses, latencies, params,
+              kReferenceSamples, refRng, refCounts, refHistogram);
+          ++calls;
+          if (std::count(refHistogram.begin(), refHistogram.end(), 0) + 1 <
+              static_cast<std::ptrdiff_t>(refHistogram.size()))
+            ++mixedCalls;
+          // With one receiver the oracle must equal the unicast
+          // first-principles reference.
+          if (receiverCount == 1) {
+            util::Rng unicastRng(seed);
+            EXPECT_EQ(static_cast<double>(refCounts[0]) / kReferenceSamples,
+                      oracle::onTimeProbabilityMCReference(
+                          toReceiver, losses, latencies, unicast,
+                          kReferenceSamples, unicastRng))
+                << "oracle vs unicast reference, members " << memberCount;
+          }
+          std::vector<int> pooledCounts(receiverCount);
+          std::vector<int> pooledHistogram(receiverCount + 1);
+          int pooledSamples = 0;
           for (const int samples : sampleCounts) {
-            std::vector<int> refCounts(receiverCount);
-            std::vector<int> refHistogram(receiverCount + 1);
-            util::Rng refRng(seed * 1000 + static_cast<std::uint64_t>(samples));
-            oracle::onTimeCountsMCGroupReference(dg, receivers, deadlines, losses,
-                                         latencies, params, samples, refRng,
-                                         refCounts, refHistogram);
-            const std::uint64_t refFinal = refRng.next();
-            ++calls;
-            if (std::count(refHistogram.begin(), refHistogram.end(), 0) + 1 <
-                static_cast<std::ptrdiff_t>(refHistogram.size()))
-              ++mixedCalls;
-            // With one receiver the oracle must equal the unicast
-            // first-principles reference, and so must the unicast evaluator
-            // under every kernel (its plain fallback runs past 64 members).
-            DeliveryModelParams unicast = params;
-            unicast.deadline = deadlines[0];
-            graph::DisseminationGraph toReceiver(g, source, receivers[0]);
-            for (std::size_t i = 0; i < memberCount; ++i)
-              toReceiver.addEdge(order[i]);
+            std::vector<int> counts(receiverCount, -1);
+            std::vector<int> histogram(receiverCount + 1, -1);
+            util::Rng rng(seed * 1000 + static_cast<std::uint64_t>(samples));
+            playback::onTimeCountsMCGroup(dg, receivers, deadlines, losses,
+                                          latencies, params, samples, rng, ws,
+                                          counts, histogram);
+            const auto where = [&] {
+              return testing::Message()
+                     << "seed " << seed << " members " << memberCount
+                     << " receivers " << receiverCount << " recovery "
+                     << recovery << " samples " << samples;
+            };
+            if (samples >= kPooledBelow) {
+              EXPECT_TRUE(
+                  countsAgree(counts, samples, refCounts, kReferenceSamples))
+                  << "counts: " << where();
+              EXPECT_TRUE(countsAgree(histogram, samples, refHistogram,
+                                      kReferenceSamples))
+                  << "histogram: " << where();
+            } else {
+              for (std::size_t r = 0; r < receiverCount; ++r)
+                pooledCounts[r] += counts[r];
+              for (std::size_t k = 0; k <= receiverCount; ++k)
+                pooledHistogram[k] += histogram[k];
+              pooledSamples += samples;
+            }
+            EXPECT_EQ(std::accumulate(histogram.begin(), histogram.end(), 0),
+                      samples)
+                << where();
             if (receiverCount == 1) {
               util::Rng unicastRng(seed * 1000 +
                                    static_cast<std::uint64_t>(samples));
-              EXPECT_EQ(static_cast<double>(refCounts[0]) / samples,
-                        oracle::onTimeProbabilityMCReference(
+              EXPECT_EQ(playback::onTimeProbabilityMC(
                             toReceiver, losses, latencies, unicast, samples,
-                            unicastRng))
-                  << "oracle vs unicast reference, members " << memberCount;
+                            unicastRng, ws),
+                        static_cast<double>(counts[0]) / samples)
+                  << "unicast: " << where();
+              EXPECT_EQ(unicastRng.next(), rng.next())
+                  << "unicast RNG state: " << where();
             }
-            for (const auto kernel : kernels) {
-              playback::detail::setMcKernelForTest(kernel);
-              std::vector<int> counts(receiverCount, -1);
-              std::vector<int> histogram(receiverCount + 1, -1);
-              util::Rng rng(seed * 1000 + static_cast<std::uint64_t>(samples));
-              playback::onTimeCountsMCGroup(dg, receivers, deadlines, losses,
-                                            latencies, params, samples, rng,
-                                            ws, counts, histogram);
-              const auto where = [&] {
-                return testing::Message()
-                       << "kernel " << static_cast<int>(kernel) << " seed "
-                       << seed << " members " << memberCount << " receivers "
-                       << receiverCount << " recovery " << recovery
-                       << " samples " << samples;
-              };
-              EXPECT_EQ(counts, refCounts) << where();
-              EXPECT_EQ(histogram, refHistogram) << where();
-              EXPECT_EQ(rng.next(), refFinal) << "RNG state: " << where();
-              if (receiverCount == 1) {
-                util::Rng unicastRng(seed * 1000 +
-                                     static_cast<std::uint64_t>(samples));
-                EXPECT_EQ(playback::onTimeProbabilityMC(
-                              toReceiver, losses, latencies, unicast, samples,
-                              unicastRng, ws),
-                          static_cast<double>(refCounts[0]) / samples)
-                    << "unicast: " << where();
-                EXPECT_EQ(unicastRng.next(), refFinal)
-                    << "unicast RNG state: " << where();
-              }
-            }
-            playback::detail::setMcKernelForTest(
-                playback::detail::McKernel::kAuto);
           }
+          const auto pooledWhere = [&] {
+            return testing::Message()
+                   << "seed " << seed << " members " << memberCount
+                   << " receivers " << receiverCount << " recovery "
+                   << recovery << " short runs summed (" << pooledSamples
+                   << " samples)";
+          };
+          EXPECT_TRUE(countsAgree(pooledCounts, pooledSamples, refCounts,
+                                  kReferenceSamples))
+              << "counts: " << pooledWhere();
+          EXPECT_TRUE(countsAgree(pooledHistogram, pooledSamples,
+                                  refHistogram, kReferenceSamples))
+              << "histogram: " << pooledWhere();
         }
       }
     }

@@ -5,10 +5,31 @@
 #include <cstdint>
 #include <functional>
 #include <queue>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
 namespace dg::oracle {
+
+util::SimTime sampleHopLatency(double lossRate, util::SimTime latency,
+                               const playback::DeliveryModelParams& params,
+                               util::Rng& rng) {
+  const double u = rng.uniform();
+  if (u < 1.0 - lossRate) return latency;
+  if (!params.recoveryEnabled) return util::kNever;
+  if (u < 1.0 - lossRate * lossRate) {
+    return 3 * latency + params.packetInterval;
+  }
+  return util::kNever;
+}
+
+bool mcEstimatesAgree(double a, int samplesA, double b, int samplesB) {
+  const double nA = static_cast<double>(samplesA);
+  const double nB = static_cast<double>(samplesB);
+  const double p = (a * nA + b * nB) / (nA + nB);
+  return std::abs(a - b) <=
+         0.02 + 4.0 * std::sqrt(p * (1.0 - p) * (1.0 / nA + 1.0 / nB));
+}
 
 double onTimeProbabilityMCReference(const graph::DisseminationGraph& dg,
                                     std::span<const double> lossRates,
@@ -23,8 +44,7 @@ double onTimeProbabilityMCReference(const graph::DisseminationGraph& dg,
 
   for (int s = 0; s < samples; ++s) {
     for (const graph::EdgeId e : dg.edges()) {
-      sampled[e] =
-          playback::sampleHopLatency(lossRates[e], latencies[e], params, rng);
+      sampled[e] = sampleHopLatency(lossRates[e], latencies[e], params, rng);
     }
     std::fill(dist.begin(), dist.end(), util::kNever);
     using Entry = std::pair<util::SimTime, graph::NodeId>;
@@ -160,24 +180,22 @@ void onTimeCountsMCGroupReference(
 
   const std::vector<graph::EdgeId>& members = dg.edges();
   const std::size_t memberCount = members.size();
-  if (ws.mcThrOnTime.size() < memberCount) {
-    ws.mcThrOnTime.resize(memberCount);
-    ws.mcThrRecovered.resize(memberCount);
-    ws.mcLatency.resize(memberCount);
-    ws.mcRecoveredLatency.resize(memberCount);
-  }
+  std::vector<std::uint64_t> thrOnTime(memberCount);
+  std::vector<std::uint64_t> thrRecovered(memberCount);
+  std::vector<util::SimTime> hopLatency(memberCount);
+  std::vector<util::SimTime> recoveredLatency(memberCount);
   constexpr double kScale53 = 9007199254740992.0;  // 2^53
   for (std::size_t i = 0; i < memberCount; ++i) {
     const double p = lossRates[members[i]];
     const util::SimTime lat = latencies[members[i]];
-    ws.mcThrOnTime[i] =
+    thrOnTime[i] =
         static_cast<std::uint64_t>(std::ceil((1.0 - p) * kScale53));
-    ws.mcThrRecovered[i] =
+    thrRecovered[i] =
         params.recoveryEnabled
             ? static_cast<std::uint64_t>(std::ceil((1.0 - p * p) * kScale53))
-            : ws.mcThrOnTime[i];
-    ws.mcLatency[i] = lat;
-    ws.mcRecoveredLatency[i] = 3 * lat + params.packetInterval;
+            : thrOnTime[i];
+    hopLatency[i] = lat;
+    recoveredLatency[i] = 3 * lat + params.packetInterval;
   }
 
   if (groupMemberOnCleanPath.size() < memberCount)
@@ -205,12 +223,12 @@ void onTimeCountsMCGroupReference(
     bool touches = false;
     for (std::size_t i = 0; i < memberCount; ++i) {
       const std::uint64_t k = localRng.next() >> 11;
-      const util::SimTime hop = k < ws.mcThrOnTime[i] ? ws.mcLatency[i]
-                                : k < ws.mcThrRecovered[i]
-                                    ? ws.mcRecoveredLatency[i]
+      const util::SimTime hop = k < thrOnTime[i] ? hopLatency[i]
+                                : k < thrRecovered[i]
+                                    ? recoveredLatency[i]
                                     : util::kNever;
       ws.sampledHop[members[i]] = hop;
-      if (hop != ws.mcLatency[i]) {
+      if (hop != hopLatency[i]) {
         deviates = true;
         touches |= groupMemberOnCleanPath[i] != 0;
       }
@@ -235,6 +253,78 @@ void onTimeCountsMCGroupReference(
     ++deliveredHistogram[static_cast<std::size_t>(deliveredCount)];
   }
   rng = localRng;
+}
+
+ExactDelivery exactGroupDelivery(const graph::DisseminationGraph& dg,
+                                 std::span<const graph::NodeId> receivers,
+                                 std::span<const util::SimTime> deadlines,
+                                 std::span<const double> lossRates,
+                                 std::span<const util::SimTime> latencies,
+                                 const playback::DeliveryModelParams& params) {
+  const std::vector<graph::EdgeId>& members = dg.edges();
+  if (members.size() > kMaxExactMembers)
+    throw std::invalid_argument("exactGroupDelivery: too many member edges");
+  const graph::Graph& overlay = dg.overlay();
+  const std::size_t outcomes = params.recoveryEnabled ? 3 : 2;
+  std::size_t patterns = 1;
+  for (std::size_t i = 0; i < members.size(); ++i) patterns *= outcomes;
+
+  ExactDelivery exact{std::vector<double>(receivers.size(), 0.0),
+                      std::vector<double>(receivers.size() + 1, 0.0)};
+  std::vector<util::SimTime> sampled(overlay.edgeCount(), util::kNever);
+  std::vector<util::SimTime> dist(overlay.nodeCount());
+  for (std::size_t pattern = 0; pattern < patterns; ++pattern) {
+    // Outcome digit of member i: 0 = on time, 1 = lost (2 = recovered).
+    double weight = 1.0;
+    std::size_t rest = pattern;
+    for (const graph::EdgeId e : members) {
+      const double p = std::clamp(lossRates[e], 0.0, 1.0);
+      const util::SimTime lat = latencies[e];
+      switch (rest % outcomes) {
+        case 0:
+          weight *= 1.0 - p;
+          sampled[e] = lat;
+          break;
+        case 1:
+          weight *= params.recoveryEnabled ? p * p : p;
+          sampled[e] = util::kNever;
+          break;
+        default:
+          weight *= p * (1.0 - p);
+          sampled[e] = 3 * lat + params.packetInterval;
+          break;
+      }
+      rest /= outcomes;
+    }
+    if (weight == 0.0) continue;
+
+    std::fill(dist.begin(), dist.end(), util::kNever);
+    using Entry = std::pair<util::SimTime, graph::NodeId>;
+    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue;
+    dist[dg.source()] = 0;
+    queue.push({0, dg.source()});
+    while (!queue.empty()) {
+      const auto [d, u] = queue.top();
+      queue.pop();
+      if (d > dist[u]) continue;
+      for (const graph::EdgeId e : dg.outEdges(u)) {
+        if (sampled[e] == util::kNever) continue;
+        const graph::NodeId v = overlay.edge(e).to;
+        if (d + sampled[e] < dist[v]) {
+          dist[v] = d + sampled[e];
+          queue.push({dist[v], v});
+        }
+      }
+    }
+    std::size_t onTime = 0;
+    for (std::size_t r = 0; r < receivers.size(); ++r) {
+      if (dist[receivers[r]] > deadlines[r]) continue;
+      exact.onTime[r] += weight;
+      ++onTime;
+    }
+    exact.delivered[onTime] += weight;
+  }
+  return exact;
 }
 
 }  // namespace dg::oracle

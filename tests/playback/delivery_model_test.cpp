@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "graph/dissemination_graph.hpp"
+#include "oracle/delivery_oracle.hpp"
 #include "proptest.hpp"
 #include "test_support.hpp"
 
@@ -18,14 +19,15 @@ DeliveryModelParams defaults() { return DeliveryModelParams{}; }
 TEST(SampleHopLatency, LosslessIsDeterministic) {
   util::Rng rng(1);
   for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(sampleHopLatency(0.0, 1000, defaults(), rng), 1000);
+    EXPECT_EQ(oracle::sampleHopLatency(0.0, 1000, defaults(), rng), 1000);
   }
 }
 
 TEST(SampleHopLatency, TotalLossWithRecoveryIsNever) {
   util::Rng rng(1);
   for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(sampleHopLatency(1.0, 1000, defaults(), rng), util::kNever);
+    EXPECT_EQ(oracle::sampleHopLatency(1.0, 1000, defaults(), rng),
+              util::kNever);
   }
 }
 
@@ -36,7 +38,7 @@ TEST(SampleHopLatency, OutcomeFrequenciesMatchModel) {
   int onTime = 0, recovered = 0, lost = 0;
   const int n = 100'000;
   for (int i = 0; i < n; ++i) {
-    const auto t = sampleHopLatency(p, lat, defaults(), rng);
+    const auto t = oracle::sampleHopLatency(p, lat, defaults(), rng);
     if (t == lat) {
       ++onTime;
     } else if (t == 3 * lat + defaults().packetInterval) {
@@ -59,7 +61,7 @@ TEST(SampleHopLatency, NoRecoveryLosesAtRateP) {
   int lost = 0;
   const int n = 50'000;
   for (int i = 0; i < n; ++i) {
-    if (sampleHopLatency(p, 1000, params, rng) == util::kNever) ++lost;
+    if (oracle::sampleHopLatency(p, 1000, params, rng) == util::kNever) ++lost;
   }
   EXPECT_NEAR(lost / static_cast<double>(n), p, 0.01);
 }

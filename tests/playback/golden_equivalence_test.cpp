@@ -6,6 +6,8 @@
 // force, and everything must hold at any thread count.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "oracle/delivery_oracle.hpp"
@@ -209,11 +211,13 @@ TEST_F(GoldenEquivalence, MissTimelineMatchesAcrossModes) {
 }
 
 // The engine-level reference oracle: for every flow x scheme x interval,
-// the miss the playback step scored equals the frozen reference evaluator
-// run on the selection the decision replay has in force at that interval
-// (ReplayCore::selectionAt) under the interval's true conditions -- the
-// near-lossless reference on deterministic intervals, 1 - the
-// Monte-Carlo reference on the interval's own RNG stream otherwise.
+// the miss the playback step scored matches the frozen reference
+// evaluator run on the selection the decision replay has in force at that
+// interval (ReplayCore::selectionAt) under the interval's true conditions
+// -- equal to the near-lossless reference on deterministic intervals, and
+// within sampling tolerance of 1 - the Monte-Carlo reference on the
+// interval's own RNG stream otherwise (the sparse sampler draws a
+// different stream of the same distribution).
 TEST_F(GoldenEquivalence, MissTimelineMatchesReferenceEvaluators) {
   const graph::Graph& g = topology_.graph();
   const playback::PlaybackEngine engine(g, trace_, params_);
@@ -230,21 +234,28 @@ TEST_F(GoldenEquivalence, MissTimelineMatchesReferenceEvaluators) {
         const graph::DisseminationGraph& dg = core.selectionAt(*scheme, t);
         const std::vector<double> losses = trace_.lossRatesAt(t);
         const std::vector<util::SimTime> latencies = trace_.latenciesAt(t);
-        double expected = 0.0;
+        const auto where = [&] {
+          return testing::Message()
+                 << routing::schemeName(kind) << " flow " << flow.source
+                 << "->" << flow.destination << " interval " << t;
+        };
         if (playback::nearLossless(dg, losses, params_.lossEpsilon)) {
-          expected = oracle::missProbabilityNearLosslessReference(
-              dg, losses, latencies, params_.delivery);
+          EXPECT_EQ(timeline[t], oracle::missProbabilityNearLosslessReference(
+                                     dg, losses, latencies, params_.delivery))
+              << where();
         } else {
           ++monteCarlo;
           util::Rng rng(playback::intervalSeed(
               params_.seed, flow.source, {&flow.destination, 1}, kind, t));
-          expected = 1.0 - oracle::onTimeProbabilityMCReference(
-                               dg, losses, latencies, params_.delivery,
-                               params_.mcSamples, rng);
+          const double expected = 1.0 - oracle::onTimeProbabilityMCReference(
+                                            dg, losses, latencies,
+                                            params_.delivery,
+                                            params_.mcSamples, rng);
+          EXPECT_TRUE(oracle::mcEstimatesAgree(timeline[t], params_.mcSamples,
+                                               expected, params_.mcSamples))
+              << where() << ": miss " << timeline[t] << ", reference "
+              << expected;
         }
-        EXPECT_EQ(timeline[t], expected)
-            << routing::schemeName(kind) << " flow " << flow.source << "->"
-            << flow.destination << " interval " << t;
       }
     }
   }
@@ -285,7 +296,9 @@ TEST(DeliveryEquivalence, OptimizedEvaluatorsMatchReference) {
           *dg_, losses, latencies, params, 300, a, ws);
       const double reference = oracle::onTimeProbabilityMCReference(
           *dg_, losses, latencies, params, 300, b);
-      EXPECT_EQ(optimized, reference) << "seed " << seed;
+      EXPECT_TRUE(oracle::mcEstimatesAgree(optimized, 300, reference, 300))
+          << "seed " << seed << ": " << optimized << " vs reference "
+          << reference;
       EXPECT_EQ(playback::missProbabilityNearLossless(*dg_, losses,
                                                       latencies, params,
                                                       ws),
@@ -296,12 +309,15 @@ TEST(DeliveryEquivalence, OptimizedEvaluatorsMatchReference) {
   }
 }
 
-// Every Monte-Carlo kernel (fused scalar, AVX2 block when the CPU has
-// it) must agree with the frozen reference
-// draw for draw: same verdicts, same final RNG state. Odd sample counts
-// straddle the block size so partial tail blocks are exercised, and the
-// graph set spans small member counts (scalar-dispatch territory), a
-// 64-member flooding graph (both key words), and the AVX2 tail path.
+// The sparse sampler against the frozen dense reference, across sample
+// counts on both sides of the 64-sample deviation-flag words, and member
+// counts from small targeted graphs to the 64-member flooding graph (both
+// key words): runs of 257 and 1000 samples each within sampling tolerance
+// of a 4000-sample reference, and the short runs of 1, 31, 33, 63, 64 and
+// 65 samples summed into one 257-sample estimate held to the same
+// tolerance (a single short run is too coarse for it). At every count a
+// reused workspace must give what a fresh one gives, down to the final
+// RNG state (the sampler's keys and flags are all-zero between calls).
 TEST(DeliveryEquivalence, AllKernelsMatchReferenceAcrossSeedsAndCounts) {
   const auto topology = trace::Topology::ltn12();
   const graph::Graph& g = topology.graph();
@@ -314,18 +330,11 @@ TEST(DeliveryEquivalence, AllKernelsMatchReferenceAcrossSeedsAndCounts) {
     floodingGraph.addEdge(e);
   }
 
-  std::vector<playback::detail::McKernel> kernels = {
-      playback::detail::McKernel::kFusedScalar};
-  if (playback::detail::mcKernelSupported(
-          playback::detail::McKernel::kBlockAvx2)) {
-    kernels.push_back(playback::detail::McKernel::kBlockAvx2);
-  }
-
   const playback::DeliveryModelParams params;
   playback::DeliveryWorkspace ws;
-  // 1 and 31 stay inside one 32-sample block, 33/63/65 cross one
-  // boundary at different offsets, 257 crosses eight.
-  const int sampleCounts[] = {1, 31, 33, 63, 65, 257};
+  constexpr int kReferenceSamples = 4000;
+  const int sampleCounts[] = {1, 31, 33, 63, 64, 65, 257, 1000};
+  constexpr int kPooledBelow = 257;  // runs shorter than this are summed
   for (std::uint64_t seed = 100; seed < 107; ++seed) {
     util::Rng setup(seed * 1979 + 11);
     std::vector<double> losses(g.edgeCount());
@@ -337,26 +346,41 @@ TEST(DeliveryEquivalence, AllKernelsMatchReferenceAcrossSeedsAndCounts) {
     for (const graph::DisseminationGraph* dg_ :
          {&targeted.sourceProblem, &targeted.destinationProblem,
           static_cast<const graph::DisseminationGraph*>(&floodingGraph)}) {
+      util::Rng refRng(seed);
+      const double reference = oracle::onTimeProbabilityMCReference(
+          *dg_, losses, latencies, params, kReferenceSamples, refRng);
+      int pooledOnTime = 0;
+      int pooledSamples = 0;
       for (const int samples : sampleCounts) {
-        util::Rng refRng(seed);
-        const double reference = oracle::onTimeProbabilityMCReference(
-            *dg_, losses, latencies, params, samples, refRng);
-        const std::uint64_t refFinal = refRng.next();
-        for (const auto kernel : kernels) {
-          playback::detail::setMcKernelForTest(kernel);
-          util::Rng rng(seed);
-          const double got = playback::onTimeProbabilityMC(
-              *dg_, losses, latencies, params, samples, rng, ws);
-          EXPECT_EQ(got, reference)
-              << "kernel " << static_cast<int>(kernel) << " seed " << seed
-              << " samples " << samples;
-          EXPECT_EQ(rng.next(), refFinal)
-              << "RNG state diverged: kernel " << static_cast<int>(kernel)
-              << " seed " << seed << " samples " << samples;
+        // Each count on its own stream, so the summed short runs are
+        // independent samples.
+        const std::uint64_t stream =
+            seed * 1000 + static_cast<std::uint64_t>(samples);
+        util::Rng rng(stream);
+        const double got = playback::onTimeProbabilityMC(
+            *dg_, losses, latencies, params, samples, rng, ws);
+        if (samples >= kPooledBelow) {
+          EXPECT_TRUE(oracle::mcEstimatesAgree(got, samples, reference,
+                                               kReferenceSamples))
+              << "seed " << seed << " samples " << samples << ": " << got
+              << " vs reference " << reference;
+        } else {
+          pooledOnTime += static_cast<int>(std::lround(got * samples));
+          pooledSamples += samples;
         }
-        playback::detail::setMcKernelForTest(
-            playback::detail::McKernel::kAuto);
+        util::Rng freshRng(stream);
+        EXPECT_EQ(playback::onTimeProbabilityMC(*dg_, losses, latencies,
+                                                params, samples, freshRng),
+                  got)
+            << "fresh workspace: seed " << seed << " samples " << samples;
+        EXPECT_EQ(freshRng.next(), rng.next())
+            << "RNG state: seed " << seed << " samples " << samples;
       }
+      const double pooled = static_cast<double>(pooledOnTime) / pooledSamples;
+      EXPECT_TRUE(oracle::mcEstimatesAgree(pooled, pooledSamples, reference,
+                                           kReferenceSamples))
+          << "seed " << seed << " short runs summed (" << pooledSamples
+          << " samples): " << pooled << " vs reference " << reference;
     }
   }
 }
